@@ -8,6 +8,11 @@ JSONL mode (default):
     nusselt, v_rms, t_min, t_max, t_mean),
   * "step" is strictly increasing, "time" non-decreasing, "dt" > 0,
   * "per_level" is a list of non-negative ints summing to "elements",
+  * solver fields appear together and only on steps that solved Stokes:
+    "picard_iterations", "amg_vcycles" (non-negative ints) and a
+    "solves" array with one {status, iterations, relres} entry per
+    Picard iteration (a known status token, iterations >= 0, relres a
+    finite number >= 0, or null only for a non_finite solve),
   * optional "timings" blocks (per-step phase seconds) carry a bool
     "adapted" and non-negative finite phase entries, with the AMR
     phases (extract in particular) at zero on non-adapting steps, and
@@ -22,7 +27,19 @@ JSONL mode (default):
     (per-rank accounting can never exceed what the OS charges the
     process times ranks), and an {"available": false} RSS object carries
     no numeric fields (no fabricated zeros),
-  * optional: --min-records N requires at least N records.
+  * optional "critical_path" / "wait_states" blocks (always both):
+    length_s >= mean_s >= 0; per phase cp_s >= mean_s >= 0, imbalance
+    >= 1 and the critical rank in [0, ranks); all wait buckets >= 0 and,
+    per phase, late_sender_s + transfer_s + collective_s no more than
+    the rank-summed wall_s (late_receiver_s is excluded: it is queue time
+    hidden by the receiver's own work and may span phase boundaries);
+    overlap, when present, in [0, 1]; blamed_rank, when present, in
+    [0, ranks) with blamed_s > 0,
+  * optional: --min-records N requires at least N records; --min-steps N
+    requires every record to carry the analysis blocks and at least N
+    such records; --ranks N overrides the records' "ranks" field;
+    --expect-slow-rank N requires some phase of some step to blame rank
+    N for late-sender time (the slow-rank test hook).
 
 Bundle mode (--dump-dir DIR): the flight-recorder layout written by
 obs::panic_dump is present and parses — reason.txt (non-empty),
@@ -31,6 +48,8 @@ trace.json / counters.json / phases.json / residuals.json / memory.json
 
 Usage:
   check_telemetry.py rhea_telemetry.jsonl --min-records 4
+  check_telemetry.py alps_telemetry.jsonl --ranks 4 --min-steps 2 \
+      --expect-slow-rank 1
   check_telemetry.py --dump-dir alps_dump
 """
 
@@ -192,21 +211,114 @@ def check_timings_block(t, where) -> None:
             fail(f"{where}: timings.extract_fallback is not a bool")
 
 
-def check_jsonl(path: str, min_records: int) -> None:
+SOLVE_STATUSES = {"converged", "max_iterations", "stagnated", "diverged",
+                  "non_finite"}
+
+
+def _count(obj, key, where):
+    v = obj.get(key)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        fail(f"{where}: \"{key}\" is not a non-negative int: {v!r}")
+    return v
+
+
+def check_solver_fields(rec, where) -> None:
+    """Solver fields describe this step's Stokes solve only: all three
+    or none, one "solves" entry per Picard iteration."""
+    present = [k for k in ("picard_iterations", "amg_vcycles", "solves")
+               if k in rec]
+    if not present:
+        return
+    if len(present) != 3:
+        fail(f"{where}: partial solver fields {present}")
+    _count(rec, "amg_vcycles", where)
+    solves = rec["solves"]
+    if not isinstance(solves, list) or not solves:
+        fail(f"{where}: \"solves\" is not a non-empty list")
+    if _count(rec, "picard_iterations", where) != len(solves):
+        fail(f"{where}: picard_iterations {rec['picard_iterations']} != "
+             f"{len(solves)} solves")
+    for s in solves:
+        if not isinstance(s, dict) or s.get("status") not in SOLVE_STATUSES:
+            fail(f"{where}: malformed solves entry {s!r}")
+        _count(s, "iterations", where)
+        if s.get("relres") is None and s["status"] == "non_finite":
+            continue
+        if _num(s, "relres", where) < 0:
+            fail(f"{where}: negative relres in {s!r}")
+
+
+EPS = 1e-9   # absolute slack for float roundtrip through JSON
+REL = 1.02   # 2% relative slack on the bucket <= wall invariant
+
+
+def check_analysis_blocks(rec, where, ranks) -> set:
+    """Validate the critical_path and wait_states blocks; returns the
+    ranks blamed for late-sender time."""
+    cp, ws = rec["critical_path"], rec["wait_states"]
+    for key in ("length_s", "mean_s", "imbalance", "phases"):
+        if key not in cp:
+            fail(f"{where}: critical_path is missing \"{key}\"")
+    if cp["mean_s"] < -EPS or cp["length_s"] < cp["mean_s"] - EPS:
+        fail(f"{where}: critical_path length_s {cp['length_s']} < "
+             f"mean_s {cp['mean_s']}")
+    for ph in cp["phases"]:
+        name = ph.get("phase", "?")
+        if ph["mean_s"] < -EPS or ph["cp_s"] < ph["mean_s"] - EPS:
+            fail(f"{where} phase {name}: cp_s {ph['cp_s']} < "
+                 f"mean_s {ph['mean_s']}")
+        if ph["imbalance"] < 1.0 - 1e-6:
+            fail(f"{where} phase {name}: imbalance {ph['imbalance']} < 1")
+        if not 0 <= ph["rank"] < ranks:
+            fail(f"{where} phase {name}: critical rank {ph['rank']} "
+                 f"outside [0, {ranks})")
+    if "phases" not in ws:
+        fail(f"{where}: wait_states is missing \"phases\"")
+    blamed = set()
+    for ph in ws["phases"]:
+        name = ph.get("phase", "?")
+        for b in ("late_sender_s", "transfer_s", "late_receiver_s",
+                  "collective_s", "wall_s", "max_blocked_s"):
+            if b not in ph:
+                fail(f"{where} phase {name}: missing \"{b}\"")
+            if ph[b] < -EPS:
+                fail(f"{where} phase {name}: {b} = {ph[b]} < 0")
+        blocked = ph["late_sender_s"] + ph["transfer_s"] + ph["collective_s"]
+        if blocked > ph["wall_s"] * REL + EPS:
+            fail(f"{where} phase {name}: blocked buckets sum to "
+                 f"{blocked} > wall_s {ph['wall_s']}")
+        if "overlap" in ph and not -EPS <= ph["overlap"] <= 1 + EPS:
+            fail(f"{where} phase {name}: overlap {ph['overlap']} "
+                 f"outside [0, 1]")
+        if "blamed_rank" in ph:
+            if not 0 <= ph["blamed_rank"] < ranks:
+                fail(f"{where} phase {name}: blamed_rank "
+                     f"{ph['blamed_rank']} outside [0, {ranks})")
+            if ph.get("blamed_s", 0) <= 0:
+                fail(f"{where} phase {name}: blamed_rank present but "
+                     f"blamed_s = {ph.get('blamed_s')}")
+            blamed.add(ph["blamed_rank"])
+    return blamed
+
+
+def check_jsonl(path: str, args) -> None:
     try:
         with open(path, encoding="utf-8") as f:
             lines = [ln for ln in f.read().splitlines() if ln.strip()]
     except OSError as e:
         fail(f"cannot read {path}: {e}")
 
-    if len(lines) < min_records:
-        fail(f"{path}: expected >= {min_records} records, found {len(lines)}")
+    if len(lines) < args.min_records:
+        fail(f"{path}: expected >= {args.min_records} records, "
+             f"found {len(lines)}")
 
     prev_step, prev_time = None, None
     hwm_state = {}
     mem_records = 0
     timing_records = 0
     latency_records = 0
+    analyzed = 0
+    blamed = set()
     for i, line in enumerate(lines, start=1):
         try:
             rec = json.loads(line)
@@ -249,13 +361,31 @@ def check_jsonl(path: str, min_records: int) -> None:
         if "latency" in rec:
             check_latency_block(rec["latency"], f"{path}:{i}")
             latency_records += 1
+        check_solver_fields(rec, f"{path}:{i}")
+        blocks = [k for k in ("critical_path", "wait_states") if k in rec]
+        if blocks or args.min_steps is not None:
+            if len(blocks) != 2:
+                fail(f"{path}:{i}: step {rec['step']} needs both "
+                     f"critical_path and wait_states, has {blocks}")
+            ranks = args.ranks if args.ranks > 0 else rec.get("ranks", 1)
+            blamed |= check_analysis_blocks(rec, f"{path}:{i}", ranks)
+            analyzed += 1
         prev_step, prev_time = rec["step"], rec["time"]
+
+    if analyzed < (args.min_steps or 0):
+        fail(f"{path}: expected >= {args.min_steps} analyzed step records, "
+             f"found {analyzed}")
+    if args.expect_slow_rank >= 0 and args.expect_slow_rank not in blamed:
+        fail(f"{path}: no phase blamed rank {args.expect_slow_rank} for "
+             f"late-sender time (blamed: {sorted(blamed)})")
 
     print(f"check_telemetry: OK: {len(lines)} records in {path}, "
           f"steps {lines and json.loads(lines[0])['step']}..{prev_step}, "
           f"{mem_records} with memory blocks, "
           f"{timing_records} with timings blocks, "
-          f"{latency_records} with latency blocks")
+          f"{latency_records} with latency blocks, "
+          f"{analyzed} with analysis blocks"
+          + (f", blamed ranks {sorted(blamed)}" if blamed else ""))
 
 
 def check_bundle(dump_dir: str) -> None:
@@ -306,6 +436,13 @@ def main() -> None:
     ap.add_argument("jsonl", nargs="?", help="telemetry JSONL stream")
     ap.add_argument("--min-records", type=int, default=1,
                     help="minimum number of JSONL records expected")
+    ap.add_argument("--min-steps", type=int, default=None,
+                    help="require the analysis blocks on every record and "
+                    "at least this many records")
+    ap.add_argument("--ranks", type=int, default=0,
+                    help="expected rank count (default: from the records)")
+    ap.add_argument("--expect-slow-rank", type=int, default=-1,
+                    help="require some phase to blame this rank")
     ap.add_argument("--dump-dir",
                     help="validate a flight-recorder bundle directory")
     args = ap.parse_args()
@@ -313,7 +450,7 @@ def main() -> None:
     if not args.jsonl and not args.dump_dir:
         fail("nothing to check: pass a JSONL file and/or --dump-dir")
     if args.jsonl:
-        check_jsonl(args.jsonl, args.min_records)
+        check_jsonl(args.jsonl, args)
     if args.dump_dir:
         check_bundle(args.dump_dir)
 

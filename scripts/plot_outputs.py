@@ -14,8 +14,8 @@ working directory:
   sphere_front_<n>.csv   columns x,y,z,c     (examples/spherical_advection)
 
 Telemetry mode reads the JSONL written with ALPS_TELEMETRY=1 (rhea runs
-embed "critical_path" and "wait_states" blocks when ALPS_ANALYSIS is on,
-the default) and renders one PNG per input file: per-phase critical-path
+embed "critical_path" and "wait_states" blocks; with ALPS_ANALYSIS=0 the
+wait-state phase lists are empty) and renders one PNG per input file: per-phase critical-path
 imbalance over steps on top, stacked wait-state buckets (late-sender /
 transfer / collective) per phase over steps below.
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "obs/mem.hpp"
@@ -64,72 +65,58 @@ RankBaseline& baseline_for(int rank, int nranks) {
   return s.baselines[static_cast<std::size_t>(rank)];
 }
 
-// ---- wire format -------------------------------------------------------
+// ---- wire codec --------------------------------------------------------
 //
-// Each rank contributes one byte blob, exchanged with allgatherv:
-//   u32 n_phases   { u32 len, chars, f64 seconds } ...
-//   u32 n_waits    { u32 len, chars, f64 x6 buckets, u64 x4 counts,
-//                    u32 n_srcs { i32 rank, f64 seconds } ... } ...
-//   u32 n_counters { u32 len, chars, u64 value } ...          (cumulative)
-//   u32 n_gauges   { u32 len, chars, f64 value } ...       (instantaneous)
-//   u32 n_hists    { u32 len, chars, f64 sum, f64 min, f64 max,
-//                    u32 n_nonzero { u32 bucket, u64 count } ... } ...
-// The counter and histogram sections piggyback on the same allgatherv the
-// wait-state analysis already pays for — the metrics endpoint adds zero
-// collectives per step. Histograms ship as sparse step deltas (bucket
-// counts difference exactly); counters ship cumulative values (monotone,
-// so rank sums are directly Prometheus-exposable).
+// Both exchanges (analyze_step's RankDelta, analyze_memory's MemDelta)
+// use one codec. Each wire type lists its fields once, in a wire(io, v)
+// overload, and the same overload encodes (Writer) and decodes (Reader),
+// so the two directions cannot drift apart. Scalars travel as native
+// bytes (the exchange is in-process), strings and sequences carry a u32
+// length prefix, and a truncated blob decodes the missing tail to
+// defaults. Histograms travel as sparse buckets plus sum/min/max; for
+// analyze_step they are step deltas (bucket counts subtract exactly),
+// while counters are cumulative (monotone, so rank sums are directly
+// Prometheus-exposable) and gauges are instantaneous.
 
-void put_u32(std::vector<std::byte>& b, std::uint32_t v) {
-  const std::size_t off = b.size();
-  b.resize(off + sizeof v);
-  std::memcpy(b.data() + off, &v, sizeof v);
-}
-void put_i32(std::vector<std::byte>& b, std::int32_t v) {
-  const std::size_t off = b.size();
-  b.resize(off + sizeof v);
-  std::memcpy(b.data() + off, &v, sizeof v);
-}
-void put_f64(std::vector<std::byte>& b, double v) {
-  const std::size_t off = b.size();
-  b.resize(off + sizeof v);
-  std::memcpy(b.data() + off, &v, sizeof v);
-}
-void put_u64(std::vector<std::byte>& b, std::uint64_t v) {
-  const std::size_t off = b.size();
-  b.resize(off + sizeof v);
-  std::memcpy(b.data() + off, &v, sizeof v);
-}
-void put_str(std::vector<std::byte>& b, const std::string& s) {
-  put_u32(b, static_cast<std::uint32_t>(s.size()));
-  const std::size_t off = b.size();
-  b.resize(off + s.size());
-  std::memcpy(b.data() + off, s.data(), s.size());
-}
+struct Writer {
+  static constexpr bool kReading = false;
+  std::vector<std::byte> b;
+  template <typename T>
+  void raw(T& v) {
+    const std::size_t off = b.size();
+    b.resize(off + sizeof v);
+    std::memcpy(b.data() + off, &v, sizeof v);
+  }
+  void chars(std::string& s, std::uint32_t) {
+    const std::size_t off = b.size();
+    b.resize(off + s.size());
+    std::memcpy(b.data() + off, s.data(), s.size());
+  }
+};
 
 struct Reader {
+  static constexpr bool kReading = true;
   const std::byte* p;
   const std::byte* end;
+  std::size_t remaining() const { return static_cast<std::size_t>(end - p); }
   template <typename T>
-  T get() {
-    T v{};
-    if (p + sizeof v <= end) {
-      std::memcpy(&v, p, sizeof v);
-      p += sizeof v;
-    } else {
+  void raw(T& v) {
+    v = T{};
+    if (remaining() < sizeof v) {
       p = end;
+      return;
     }
-    return v;
+    std::memcpy(&v, p, sizeof v);
+    p += sizeof v;
   }
-  std::string str() {
-    const std::uint32_t n = get<std::uint32_t>();
-    if (p + n > end) {
+  void chars(std::string& s, std::uint32_t n) {
+    if (n > remaining()) {
+      s.clear();
       p = end;
-      return {};
+      return;
     }
-    std::string s(reinterpret_cast<const char*>(p), n);
+    s.assign(reinterpret_cast<const char*>(p), n);
     p += n;
-    return s;
   }
 };
 
@@ -141,117 +128,129 @@ struct RankDelta {
   std::map<std::string, Histogram> hists;  // step-window deltas
 };
 
-std::vector<std::byte> encode(const RankDelta& d) {
-  std::vector<std::byte> b;
-  put_u32(b, static_cast<std::uint32_t>(d.phases.size()));
-  for (const auto& [name, sec] : d.phases) {
-    put_str(b, name);
-    put_f64(b, sec);
-  }
-  put_u32(b, static_cast<std::uint32_t>(d.waits.size()));
-  for (const auto& [name, c] : d.waits) {
-    put_str(b, name);
-    put_f64(b, c.w.late_sender_s);
-    put_f64(b, c.w.transfer_s);
-    put_f64(b, c.w.late_receiver_s);
-    put_f64(b, c.w.collective_s);
-    put_f64(b, c.w.overlap_covered_s);
-    put_f64(b, c.w.overlap_waited_s);
-    put_u64(b, c.w.recvs);
-    put_u64(b, c.w.waited_recvs);
-    put_u64(b, c.w.collectives);
-    put_u64(b, c.w.halo_ops);
-    put_u32(b, static_cast<std::uint32_t>(c.late_by_rank.size()));
-    for (const auto& [src, sec] : c.late_by_rank) {
-      put_i32(b, src);
-      put_f64(b, sec);
-    }
-  }
-  put_u32(b, static_cast<std::uint32_t>(d.counters.size()));
-  for (const auto& [name, value] : d.counters) {
-    put_str(b, name);
-    put_u64(b, value);
-  }
-  put_u32(b, static_cast<std::uint32_t>(d.gauges.size()));
-  for (const auto& [name, value] : d.gauges) {
-    put_str(b, name);
-    put_f64(b, value);
-  }
-  put_u32(b, static_cast<std::uint32_t>(d.hists.size()));
-  for (const auto& [name, h] : d.hists) {
-    put_str(b, name);
-    put_f64(b, h.sum());
-    put_f64(b, h.min());
-    put_f64(b, h.max());
-    std::uint32_t nonzero = 0;
-    for (int i = 0; i < Histogram::kBucketCount; ++i)
-      if (h.bucket(i) > 0) ++nonzero;
-    put_u32(b, nonzero);
-    for (int i = 0; i < Histogram::kBucketCount; ++i)
-      if (h.bucket(i) > 0) {
-        put_u32(b, static_cast<std::uint32_t>(i));
-        put_u64(b, h.bucket(i));
-      }
-  }
-  return b;
+// One rank's contribution to the memory exchange.
+struct MemDelta {
+  std::uint64_t accounted = 0;
+  std::uint64_t acc_hwm = 0;
+  std::string acc_hwm_phase;
+  bool rss_available = false;
+  std::uint64_t rss = 0;
+  std::uint64_t rss_hwm = 0;
+  std::string rss_peak_phase;
+  std::vector<std::pair<std::string, std::uint64_t>> scopes;
+};
+
+// The overloads below reach each other by argument-dependent lookup on
+// IO (Writer and Reader live in this namespace), so their order is free.
+template <typename IO, typename... T>
+void wire_all(IO& io, T&... fields) {
+  (wire(io, fields), ...);
 }
 
-RankDelta decode(const std::byte* p, std::size_t n) {
-  RankDelta d;
-  Reader r{p, p + n};
-  const std::uint32_t np = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < np && r.p < r.end; ++i) {
-    std::string name = r.str();
-    d.phases[name] = r.get<double>();
-  }
-  const std::uint32_t nw = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < nw && r.p < r.end; ++i) {
-    std::string name = r.str();
-    WaitCum& c = d.waits[name];
-    c.w.late_sender_s = r.get<double>();
-    c.w.transfer_s = r.get<double>();
-    c.w.late_receiver_s = r.get<double>();
-    c.w.collective_s = r.get<double>();
-    c.w.overlap_covered_s = r.get<double>();
-    c.w.overlap_waited_s = r.get<double>();
-    c.w.recvs = r.get<std::uint64_t>();
-    c.w.waited_recvs = r.get<std::uint64_t>();
-    c.w.collectives = r.get<std::uint64_t>();
-    c.w.halo_ops = r.get<std::uint64_t>();
-    const std::uint32_t ns = r.get<std::uint32_t>();
-    for (std::uint32_t j = 0; j < ns && r.p < r.end; ++j) {
-      const int src = r.get<std::int32_t>();
-      c.late_by_rank[src] = r.get<double>();
+template <typename IO, typename T>
+  requires std::is_arithmetic_v<T>
+void wire(IO& io, T& v) {
+  io.raw(v);
+}
+
+template <typename IO>
+void wire(IO& io, std::string& s) {
+  std::uint32_t n = static_cast<std::uint32_t>(s.size());
+  io.raw(n);
+  io.chars(s, n);
+}
+
+template <typename IO, typename A, typename B>
+void wire(IO& io, std::pair<A, B>& p) {
+  wire_all(io, p.first, p.second);
+}
+
+template <typename IO, typename T>
+void wire(IO& io, std::vector<T>& v) {
+  std::uint32_t n = static_cast<std::uint32_t>(v.size());
+  io.raw(n);
+  // Every element occupies at least one byte, which bounds a corrupt n.
+  if constexpr (IO::kReading) v.resize(std::min<std::size_t>(n, io.remaining()));
+  for (T& e : v) wire(io, e);
+}
+
+template <typename IO, typename K, typename V>
+void wire(IO& io, std::map<K, V>& m) {
+  std::uint32_t n = static_cast<std::uint32_t>(m.size());
+  io.raw(n);
+  if constexpr (IO::kReading) {
+    for (std::uint32_t i = 0; i < n && io.remaining() > 0; ++i) {
+      K key{};
+      wire(io, key);
+      wire(io, m[key]);
+    }
+  } else {
+    for (auto& [k, v] : m) {
+      K key = k;
+      wire_all(io, key, v);
     }
   }
-  const std::uint32_t nc = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < nc && r.p < r.end; ++i) {
-    std::string name = r.str();
-    d.counters.emplace_back(std::move(name), r.get<std::uint64_t>());
-  }
-  const std::uint32_t ng = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < ng && r.p < r.end; ++i) {
-    std::string name = r.str();
-    d.gauges.emplace_back(std::move(name), r.get<double>());
-  }
-  const std::uint32_t nh = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < nh && r.p < r.end; ++i) {
-    std::string name = r.str();
-    Histogram& h = d.hists[name];
-    const double sum = r.get<double>();
-    const double mn = r.get<double>();
-    const double mx = r.get<double>();
+}
+
+template <typename IO>
+void wire(IO& io, Histogram& h) {
+  double sum = h.sum(), mn = h.min(), mx = h.max();
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
+  if constexpr (!IO::kReading)
+    for (int i = 0; i < Histogram::kBucketCount; ++i)
+      if (h.bucket(i) > 0)
+        buckets.emplace_back(static_cast<std::uint32_t>(i), h.bucket(i));
+  wire_all(io, sum, mn, mx, buckets);
+  if constexpr (IO::kReading) {
     // Range before buckets: expand_range seeds min/max only while the
     // histogram is still empty.
     h.expand_range(mn, mx);
     h.add_sum(sum);
-    const std::uint32_t nb = r.get<std::uint32_t>();
-    for (std::uint32_t j = 0; j < nb && r.p < r.end; ++j) {
-      const std::uint32_t idx = r.get<std::uint32_t>();
-      h.add_bucket(static_cast<int>(idx), r.get<std::uint64_t>());
-    }
+    for (const auto& [i, count] : buckets)
+      h.add_bucket(static_cast<int>(i), count);
   }
-  return d;
+}
+
+template <typename IO>
+void wire(IO& io, WaitCum& c) {
+  WaitBuckets& w = c.w;
+  wire_all(io, w.late_sender_s, w.transfer_s, w.late_receiver_s,
+           w.collective_s, w.overlap_covered_s, w.overlap_waited_s, w.recvs,
+           w.waited_recvs, w.collectives, w.halo_ops, c.late_by_rank);
+}
+
+template <typename IO>
+void wire(IO& io, RankDelta& d) {
+  wire_all(io, d.phases, d.waits, d.counters, d.gauges, d.hists);
+}
+
+template <typename IO>
+void wire(IO& io, MemDelta& d) {
+  wire_all(io, d.accounted, d.acc_hwm, d.acc_hwm_phase, d.rss_available,
+           d.rss, d.rss_hwm, d.rss_peak_phase, d.scopes);
+}
+
+/// Collective: every rank contributes `mine`; returns all contributions
+/// in rank order on every rank (a size allgather, then one allgatherv of
+/// the encoded blobs). The analyzer's own collectives run under
+/// wait_suppress so they never land in the buckets being measured.
+template <typename T>
+std::vector<T> exchange(par::Comm& comm, T& mine) {
+  Writer w;
+  wire(w, mine);
+  wait_suppress(true);
+  const std::vector<std::uint64_t> sizes =
+      comm.allgather(static_cast<std::uint64_t>(w.b.size()));
+  const std::vector<std::byte> all = comm.allgatherv(w.b);
+  wait_suppress(false);
+  std::vector<T> out(sizes.size());
+  const std::byte* p = all.data();
+  for (std::size_t r = 0; r < sizes.size(); ++r) {
+    Reader rd{p, p + sizes[r]};
+    wire(rd, out[r]);
+    p += sizes[r];
+  }
+  return out;
 }
 
 /// This rank's cumulative state minus its baseline; updates the baseline.
@@ -278,17 +277,8 @@ RankDelta local_delta(int rank, int nranks) {
       cur.late_by_rank[src] = sec;
 
     WaitCum delta;
-    delta.w.late_sender_s = cur.w.late_sender_s - prev.w.late_sender_s;
-    delta.w.transfer_s = cur.w.transfer_s - prev.w.transfer_s;
-    delta.w.late_receiver_s = cur.w.late_receiver_s - prev.w.late_receiver_s;
-    delta.w.collective_s = cur.w.collective_s - prev.w.collective_s;
-    delta.w.overlap_covered_s =
-        cur.w.overlap_covered_s - prev.w.overlap_covered_s;
-    delta.w.overlap_waited_s = cur.w.overlap_waited_s - prev.w.overlap_waited_s;
-    delta.w.recvs = cur.w.recvs - prev.w.recvs;
-    delta.w.waited_recvs = cur.w.waited_recvs - prev.w.waited_recvs;
-    delta.w.collectives = cur.w.collectives - prev.w.collectives;
-    delta.w.halo_ops = cur.w.halo_ops - prev.w.halo_ops;
+    delta.w = cur.w;
+    delta.w -= prev.w;
     for (const auto& [src, sec] : cur.late_by_rank) {
       const auto it = prev.late_by_rank.find(src);
       const double ds = sec - (it != prev.late_by_rank.end() ? it->second : 0);
@@ -311,6 +301,18 @@ RankDelta local_delta(int rank, int nranks) {
     prev = std::move(cur);
   }
   return d;
+}
+
+/// Achieved overlap covered/(covered+waited); 1 when the halo finished
+/// with zero wait, -1 when the phase ran no halo ops.
+double overlap_of(const WaitBuckets& w) {
+  if (w.halo_ops == 0) return -1;
+  const double cov = w.overlap_covered_s + w.overlap_waited_s;
+  return cov > 0 ? w.overlap_covered_s / cov : 1.0;
+}
+
+bool most_blocked_first(const PhaseWaits& a, const PhaseWaits& b) {
+  return a.w.blocked_s() > b.w.blocked_s();
 }
 
 StepRecord stitch(const std::vector<RankDelta>& deltas, int step) {
@@ -354,19 +356,8 @@ StepRecord stitch(const std::vector<RankDelta>& deltas, int step) {
     for (const auto& [name, c] : d.waits) {
       PhaseWaits& w = waits[name];
       w.phase = name;
-      w.w.late_sender_s += c.w.late_sender_s;
-      w.w.transfer_s += c.w.transfer_s;
-      w.w.late_receiver_s += c.w.late_receiver_s;
-      w.w.collective_s += c.w.collective_s;
-      w.w.overlap_covered_s += c.w.overlap_covered_s;
-      w.w.overlap_waited_s += c.w.overlap_waited_s;
-      w.w.recvs += c.w.recvs;
-      w.w.waited_recvs += c.w.waited_recvs;
-      w.w.collectives += c.w.collectives;
-      w.w.halo_ops += c.w.halo_ops;
-      const double blocked =
-          c.w.late_sender_s + c.w.transfer_s + c.w.collective_s;
-      max_blocked[name] = std::max(max_blocked[name], blocked);
+      w.w += c.w;
+      max_blocked[name] = std::max(max_blocked[name], c.w.blocked_s());
       for (const auto& [src, sec] : c.late_by_rank) blame[name][src] += sec;
     }
   }
@@ -377,9 +368,7 @@ StepRecord stitch(const std::vector<RankDelta>& deltas, int step) {
       if (waits.count(name)) waits[name].wall_s += sec;
   for (auto& [name, w] : waits) {
     w.max_blocked_s = max_blocked[name];
-    const double cov = w.w.overlap_covered_s + w.w.overlap_waited_s;
-    if (w.w.halo_ops > 0 && cov > 0) w.overlap = w.w.overlap_covered_s / cov;
-    else if (w.w.halo_ops > 0) w.overlap = 1.0;  // finished with zero wait
+    w.overlap = overlap_of(w.w);
     for (const auto& [src, sec] : blame[name])
       if (sec > w.blamed_s) {
         w.blamed_s = sec;
@@ -387,14 +376,7 @@ StepRecord stitch(const std::vector<RankDelta>& deltas, int step) {
       }
     rec.waits.push_back(w);
   }
-  std::sort(rec.waits.begin(), rec.waits.end(),
-            [](const PhaseWaits& a, const PhaseWaits& b) {
-              const double ba = a.w.late_sender_s + a.w.transfer_s +
-                                a.w.collective_s;
-              const double bb = b.w.late_sender_s + b.w.transfer_s +
-                                b.w.collective_s;
-              return ba > bb;
-            });
+  std::sort(rec.waits.begin(), rec.waits.end(), most_blocked_first);
 
   // Latency: exact elementwise merge of every rank's step-window
   // histogram, and rank-summed cumulative counters.
@@ -470,29 +452,8 @@ void append_waits(std::ostringstream& os,
 }  // namespace
 
 StepRecord analyze_step(par::Comm& comm, int step) {
-  StepRecord rec;
-  rec.step = step;
-  if (!analysis_enabled()) return rec;
-
-  // The analyzer's own collective must not land in the buckets.
-  wait_suppress(true);
-  const RankDelta mine = local_delta(comm.rank(), comm.size());
-  const std::vector<std::byte> blob = encode(mine);
-  const std::uint64_t my_size = blob.size();
-  const std::vector<std::uint64_t> sizes = comm.allgather(my_size);
-  const std::vector<std::byte> all = comm.allgatherv(blob);
-  wait_suppress(false);
-
-  std::vector<RankDelta> deltas;
-  deltas.reserve(static_cast<std::size_t>(comm.size()));
-  std::size_t off = 0;
-  for (int r = 0; r < comm.size(); ++r) {
-    const std::size_t n = static_cast<std::size_t>(sizes[static_cast<std::size_t>(r)]);
-    deltas.push_back(decode(all.data() + off, n));
-    off += n;
-  }
-  rec = stitch(deltas, step);
-
+  RankDelta mine = local_delta(comm.rank(), comm.size());
+  StepRecord rec = stitch(exchange(comm, mine), step);
   if (comm.rank() == 0) {
     AnalysisState& s = state();
     std::lock_guard<std::mutex> lock(s.mtx);
@@ -535,16 +496,7 @@ RunSummary summarize(const std::vector<StepRecord>& recs) {
       PhaseWaits& a = waits[w.phase];
       a.phase = w.phase;
       a.wall_s += w.wall_s;
-      a.w.late_sender_s += w.w.late_sender_s;
-      a.w.transfer_s += w.w.transfer_s;
-      a.w.late_receiver_s += w.w.late_receiver_s;
-      a.w.collective_s += w.w.collective_s;
-      a.w.overlap_covered_s += w.w.overlap_covered_s;
-      a.w.overlap_waited_s += w.w.overlap_waited_s;
-      a.w.recvs += w.w.recvs;
-      a.w.waited_recvs += w.w.waited_recvs;
-      a.w.collectives += w.w.collectives;
-      a.w.halo_ops += w.w.halo_ops;
+      a.w += w.w;
       a.max_blocked_s = std::max(a.max_blocked_s, w.max_blocked_s);
       if (w.blamed_s > a.blamed_s) {
         a.blamed_s = w.blamed_s;
@@ -561,19 +513,10 @@ RunSummary summarize(const std::vector<StepRecord>& recs) {
               return a.cp_s > b.cp_s;
             });
   for (auto& [name, w] : waits) {
-    const double cov = w.w.overlap_covered_s + w.w.overlap_waited_s;
-    if (w.w.halo_ops > 0 && cov > 0) w.overlap = w.w.overlap_covered_s / cov;
-    else if (w.w.halo_ops > 0) w.overlap = 1.0;
+    w.overlap = overlap_of(w.w);
     sum.waits.push_back(w);
   }
-  std::sort(sum.waits.begin(), sum.waits.end(),
-            [](const PhaseWaits& a, const PhaseWaits& b) {
-              const double ba =
-                  a.w.late_sender_s + a.w.transfer_s + a.w.collective_s;
-              const double bb =
-                  b.w.late_sender_s + b.w.transfer_s + b.w.collective_s;
-              return ba > bb;
-            });
+  std::sort(sum.waits.begin(), sum.waits.end(), most_blocked_first);
   return sum;
 }
 
@@ -624,56 +567,6 @@ std::string latency_json(const StepRecord& rec) {
 
 namespace {
 
-// One rank's contribution to the memory exchange:
-//   u64 accounted, u64 acc_hwm, str acc_hwm_phase,
-//   u32 rss_available, u64 rss, u64 rss_hwm, str rss_peak_phase,
-//   u32 n_scopes { str name, u64 bytes } ...
-struct MemDelta {
-  std::uint64_t accounted = 0;
-  std::uint64_t acc_hwm = 0;
-  std::string acc_hwm_phase;
-  bool rss_available = false;
-  std::uint64_t rss = 0;
-  std::uint64_t rss_hwm = 0;
-  std::string rss_peak_phase;
-  std::vector<std::pair<std::string, std::uint64_t>> scopes;
-};
-
-std::vector<std::byte> encode_mem(const MemDelta& d) {
-  std::vector<std::byte> b;
-  put_u64(b, d.accounted);
-  put_u64(b, d.acc_hwm);
-  put_str(b, d.acc_hwm_phase);
-  put_u32(b, d.rss_available ? 1 : 0);
-  put_u64(b, d.rss);
-  put_u64(b, d.rss_hwm);
-  put_str(b, d.rss_peak_phase);
-  put_u32(b, static_cast<std::uint32_t>(d.scopes.size()));
-  for (const auto& [name, bytes] : d.scopes) {
-    put_str(b, name);
-    put_u64(b, bytes);
-  }
-  return b;
-}
-
-MemDelta decode_mem(const std::byte* p, std::size_t n) {
-  MemDelta d;
-  Reader r{p, p + n};
-  d.accounted = r.get<std::uint64_t>();
-  d.acc_hwm = r.get<std::uint64_t>();
-  d.acc_hwm_phase = r.str();
-  d.rss_available = r.get<std::uint32_t>() != 0;
-  d.rss = r.get<std::uint64_t>();
-  d.rss_hwm = r.get<std::uint64_t>();
-  d.rss_peak_phase = r.str();
-  const std::uint32_t ns = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < ns && r.p < r.end; ++i) {
-    std::string name = r.str();
-    d.scopes.emplace_back(std::move(name), r.get<std::uint64_t>());
-  }
-  return d;
-}
-
 /// The scope-name prefix before the first '.' — the subsystem key.
 std::string subsystem_of(const std::string& scope) {
   const std::size_t dot = scope.find('.');
@@ -706,23 +599,7 @@ MemRecord analyze_memory(par::Comm& comm, int step) {
   if (peak.phase != nullptr) mine.rss_peak_phase = peak.phase;
   mine.scopes = mem_snapshot();
 
-  // The analyzer's own collectives stay out of the wait buckets.
-  wait_suppress(true);
-  const std::vector<std::byte> blob = encode_mem(mine);
-  const std::uint64_t my_size = blob.size();
-  const std::vector<std::uint64_t> sizes = comm.allgather(my_size);
-  const std::vector<std::byte> all = comm.allgatherv(blob);
-  wait_suppress(false);
-
-  std::vector<MemDelta> deltas;
-  deltas.reserve(static_cast<std::size_t>(comm.size()));
-  std::size_t off = 0;
-  for (int r = 0; r < comm.size(); ++r) {
-    const std::size_t n =
-        static_cast<std::size_t>(sizes[static_cast<std::size_t>(r)]);
-    deltas.push_back(decode_mem(all.data() + off, n));
-    off += n;
-  }
+  const std::vector<MemDelta> deltas = exchange(comm, mine);
 
   // Accounted stats.
   std::vector<std::uint64_t> acc;

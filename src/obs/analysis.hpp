@@ -21,7 +21,13 @@
 // The analyzer's own collectives run under wait_suppress so they never
 // appear in the buckets they are measuring. Records are retained per
 // world (rank 0 stores them) for bench::Reporter run summaries and for
-// the per-step telemetry blocks validated by scripts/check_analysis.py.
+// the per-step telemetry blocks validated by scripts/check_telemetry.py.
+//
+// The same exchange is the one carrier of per-step cross-rank facts: it
+// also ships each rank's cumulative counters, gauges (obs::gauge_set —
+// rhea's element and per-level counts and step V-cycles) and latency
+// histogram deltas, so the telemetry record and the metrics endpoint need
+// no collectives of their own.
 
 #include <cstdint>
 #include <string>
@@ -89,8 +95,10 @@ struct StepRecord {
 /// Collective: exchange this rank's per-phase time and wait deltas since
 /// the previous analyze_step (or world start) and return the stitched
 /// step record. Every rank of `comm` must call it together; rank 0 also
-/// appends the record to step_records(). Returns an empty record when
-/// analysis is disabled (still collective-safe: no communication happens).
+/// appends the record to step_records(). The exchange runs whether or not
+/// wait-state accounting is on: with ALPS_ANALYSIS=0 no waits were
+/// recorded, so `waits` is empty, while the critical path, counters,
+/// gauges and latency are still produced.
 StepRecord analyze_step(par::Comm& comm, int step);
 
 /// Records stored by rank 0's analyze_step calls in the current world,

@@ -102,10 +102,13 @@ Histogram Histogram::delta_since(const Histogram& base) const {
   d.sum_ = std::max(0.0, sum_ - base.sum_);
   if (d.count_ > 0) {
     // Window extremes are unknown exactly (cumulative min/max do not
-    // difference); the bucket midpoints bound the quantile clamp with the
-    // same <= sqrt(growth) - 1 error as the quantiles themselves.
-    d.min_ = bucket_mid(lo);
-    d.max_ = bucket_mid(hi);
+    // difference). Bound them by the occupied buckets' edges, tightened by
+    // the cumulative range and, for the max, by the window sum: then
+    // max <= sum <= count * max holds for every window, while quantiles
+    // (bucket midpoints) keep their error bound.
+    d.min_ = std::max(bucket_lower(lo), min_);
+    d.max_ = std::min({hi + 1 < kBucketCount ? bucket_upper(hi) : max_, max_,
+                       d.sum_});
   }
   return d;
 }

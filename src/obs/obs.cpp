@@ -498,6 +498,34 @@ std::vector<std::pair<std::string, double>> phase_snapshot() {
 
 // ---- wait-state accounting --------------------------------------------
 
+WaitBuckets& WaitBuckets::operator+=(const WaitBuckets& o) {
+  late_sender_s += o.late_sender_s;
+  transfer_s += o.transfer_s;
+  late_receiver_s += o.late_receiver_s;
+  collective_s += o.collective_s;
+  overlap_covered_s += o.overlap_covered_s;
+  overlap_waited_s += o.overlap_waited_s;
+  recvs += o.recvs;
+  waited_recvs += o.waited_recvs;
+  collectives += o.collectives;
+  halo_ops += o.halo_ops;
+  return *this;
+}
+
+WaitBuckets& WaitBuckets::operator-=(const WaitBuckets& o) {
+  late_sender_s -= o.late_sender_s;
+  transfer_s -= o.transfer_s;
+  late_receiver_s -= o.late_receiver_s;
+  collective_s -= o.collective_s;
+  overlap_covered_s -= o.overlap_covered_s;
+  overlap_waited_s -= o.overlap_waited_s;
+  recvs -= o.recvs;
+  waited_recvs -= o.waited_recvs;
+  collectives -= o.collectives;
+  halo_ops -= o.halo_ops;
+  return *this;
+}
+
 bool analysis_enabled() {
   const int v = g_analysis.load(std::memory_order_relaxed);
   return (v >= 0 ? v : analysis_init()) != 0;
@@ -607,16 +635,7 @@ std::vector<PhaseWaitSample> wait_samples(int rank) {
   std::map<std::string, PhaseWaitSlot> merged;
   for (const auto& [phase, pw] : slot.waits) {
     PhaseWaitSlot& m = merged[phase];
-    m.w.late_sender_s += pw.w.late_sender_s;
-    m.w.transfer_s += pw.w.transfer_s;
-    m.w.late_receiver_s += pw.w.late_receiver_s;
-    m.w.collective_s += pw.w.collective_s;
-    m.w.overlap_covered_s += pw.w.overlap_covered_s;
-    m.w.overlap_waited_s += pw.w.overlap_waited_s;
-    m.w.recvs += pw.w.recvs;
-    m.w.waited_recvs += pw.w.waited_recvs;
-    m.w.collectives += pw.w.collectives;
-    m.w.halo_ops += pw.w.halo_ops;
+    m.w += pw.w;
     for (const auto& [src, secs] : pw.late_sender_by_rank)
       m.late_sender_by_rank[src] += secs;
   }

@@ -165,6 +165,12 @@ struct WaitBuckets {
   double overlap_covered_s = 0;  // compute between halo start and finish
   double overlap_waited_s = 0;   // blocked inside halo finish
   std::uint64_t recvs = 0, waited_recvs = 0, collectives = 0, halo_ops = 0;
+
+  /// Seconds this rank was stalled: late sender + transfer + collective.
+  double blocked_s() const { return late_sender_s + transfer_s + collective_s; }
+  /// Field-wise sum and difference (rank merges, per-step deltas).
+  WaitBuckets& operator+=(const WaitBuckets& o);
+  WaitBuckets& operator-=(const WaitBuckets& o);
 };
 
 /// True when wait-state accounting is active (ALPS_ANALYSIS, default on).
@@ -283,8 +289,9 @@ std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot();
 //
 // Instantaneous per-rank values (local element count, owned dofs, queue
 // depths): set-overwrite semantics, shipped in the per-step analysis
-// exchange and reduced to {sum, max} across ranks — how the metrics
-// endpoint learns global mesh statistics without any extra collective.
+// exchange and reduced to {sum, max} across ranks — how the telemetry
+// record and the metrics endpoint learn global mesh and solver statistics
+// without any extra collective.
 
 /// Overwrite this rank's gauge `name` (string literal; no-op unbound).
 void gauge_set(const char* name, double value);

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "io/vtk.hpp"
@@ -45,6 +46,40 @@ PhaseTimers read_phases() {
   return t;
 }
 
+// Gauges the step report reads back from the analysis exchange. gauge_set
+// keys on the pointer, so every name is one literal from these constants.
+constexpr const char* kLocalElements = "mesh.local_elements";
+constexpr const char* kStepVcycles = "amg.step_vcycles";
+constexpr std::array<const char*, octree::kMaxLevel + 1> kLevelElements = {
+    "mesh.level.00", "mesh.level.01", "mesh.level.02", "mesh.level.03",
+    "mesh.level.04", "mesh.level.05", "mesh.level.06", "mesh.level.07",
+    "mesh.level.08", "mesh.level.09", "mesh.level.10", "mesh.level.11",
+    "mesh.level.12", "mesh.level.13", "mesh.level.14", "mesh.level.15",
+    "mesh.level.16", "mesh.level.17", "mesh.level.18", "mesh.level.19"};
+
+/// Gauge `name` of `rec` reduced over ranks ({sum 0, max 0} when absent).
+obs::analysis::GaugeStat gauge(const obs::analysis::StepRecord& rec,
+                               std::string_view name) {
+  for (const obs::analysis::GaugeStat& g : rec.gauges)
+    if (g.name == name) return g;
+  return {};
+}
+
+/// The telemetry "solves" array: one {status, iterations, relres} object
+/// per Picard iteration's Krylov solve, in order.
+std::string solves_json(const std::vector<la::SolveResult>& solves) {
+  std::string out = "[";
+  for (const la::SolveResult& r : solves) {
+    obs::TelemetryRecord s;
+    s.field("status", la::to_string(r.status))
+        .field("iterations", r.iterations)
+        .field("relres", r.relative_residual);
+    if (out.size() > 1) out += ",";
+    out += s.json();
+  }
+  return out + "]";
+}
+
 }  // namespace
 
 Simulation::Simulation(par::Comm& comm, SimConfig cfg)
@@ -55,23 +90,24 @@ Simulation::Simulation(par::Comm& comm, SimConfig cfg)
   forest_ = Forest::new_uniform(comm, cfg_.conn, cfg_.init_level);
 }
 
-PhaseTimers Simulation::timers() const {
-  PhaseTimers t = read_phases();
-  t.new_tree -= base_.new_tree;
-  t.coarsen_refine -= base_.coarsen_refine;
-  t.balance -= base_.balance;
-  t.partition -= base_.partition;
-  t.extract_mesh -= base_.extract_mesh;
-  t.interpolate_fields -= base_.interpolate_fields;
-  t.transfer_fields -= base_.transfer_fields;
-  t.mark_elements -= base_.mark_elements;
-  t.time_integration -= base_.time_integration;
-  t.stokes_assemble -= base_.stokes_assemble;
-  t.amg_setup -= base_.amg_setup;
-  t.amg_apply -= base_.amg_apply;
-  t.minres -= base_.minres;
-  return t;
+PhaseTimers operator-(PhaseTimers a, const PhaseTimers& b) {
+  a.new_tree -= b.new_tree;
+  a.coarsen_refine -= b.coarsen_refine;
+  a.balance -= b.balance;
+  a.partition -= b.partition;
+  a.extract_mesh -= b.extract_mesh;
+  a.interpolate_fields -= b.interpolate_fields;
+  a.transfer_fields -= b.transfer_fields;
+  a.mark_elements -= b.mark_elements;
+  a.time_integration -= b.time_integration;
+  a.minres -= b.minres;
+  a.amg_setup -= b.amg_setup;
+  a.amg_apply -= b.amg_apply;
+  a.stokes_assemble -= b.stokes_assemble;
+  return a;
 }
+
+PhaseTimers Simulation::timers() const { return read_phases() - base_; }
 
 std::int64_t Simulation::global_elements() const {
   return comm_->allreduce_sum(forest_.tree().num_local());
@@ -281,8 +317,8 @@ void Simulation::run(int steps) {
     const PhaseTimers phases0 = timers();
     bool adapted = false;
     // True only when a Stokes solve ran THIS step: last_stokes_ persists
-    // across steps, and the endpoint's stagnation tracker must not recount
-    // a stale result on energy-only steps.
+    // across steps, and neither the telemetry record nor the endpoint's
+    // stagnation tracker may report a stale result on energy-only steps.
     bool stokes_solved = false;
     if (steps_ > 0 && cfg_.adapt_every > 0 && steps_ % cfg_.adapt_every == 0) {
       adapt_once();
@@ -320,23 +356,18 @@ void Simulation::run(int steps) {
         !temperature_.empty())
       temperature_[0] = std::numeric_limits<double>::quiet_NaN();
 
-    // The analyzer exchange is collective, so the gate must evaluate
-    // identically on every rank (all three flags are process-global). The
-    // metrics endpoint rides on this same exchange — its element counts
-    // and latency histograms travel in the analysis blob, so serving adds
-    // zero collectives per step.
+    // The step report's one exchange: every cross-rank fact it needs
+    // travels as a gauge in the analysis blob. Both consumers' flags are
+    // process-global, so every rank takes the same branch.
+    const bool report = obs::telemetry_enabled() || obs::serve_active();
     obs::analysis::StepRecord arec;
-    const bool analyzed =
-        obs::analysis_enabled() &&
-        (obs::telemetry_enabled() || obs::serve_active());
-    if (analyzed) {
-      obs::gauge_set("mesh.local_elements",
-                     static_cast<double>(forest_.tree().num_local()));
+    if (report) {
+      set_step_gauges(obs::counter_value(comm_->rank(), vcycles_id) - vc0);
       arec = obs::analysis::analyze_step(*comm_, steps_);
     }
 
     // Memory accounting + aggregation every step (decoupled from the
-    // analysis gate: the drift detector must run even without telemetry).
+    // report gate: the drift detector must run even without telemetry).
     // analyze_memory is collective; mem_enabled() is process-global.
     obs::analysis::MemRecord mrec;
     std::string drift_json;
@@ -347,29 +378,9 @@ void Simulation::run(int steps) {
       drift_json = update_mem_drift(mrec, adapted);
     }
 
-    if (obs::telemetry_enabled()) {
-      // This step's phase seconds on the calling rank (rank 0 writes them
-      // into the "timings" telemetry block).
-      PhaseTimers pd = timers();
-      pd.mark_elements -= phases0.mark_elements;
-      pd.coarsen_refine -= phases0.coarsen_refine;
-      pd.balance -= phases0.balance;
-      pd.partition -= phases0.partition;
-      pd.extract_mesh -= phases0.extract_mesh;
-      pd.interpolate_fields -= phases0.interpolate_fields;
-      pd.transfer_fields -= phases0.transfer_fields;
-      pd.time_integration -= phases0.time_integration;
-      pd.stokes_assemble -= phases0.stokes_assemble;
-      pd.amg_setup -= phases0.amg_setup;
-      pd.amg_apply -= phases0.amg_apply;
-      pd.minres -= phases0.minres;
-      emit_step_telemetry(
-          dt, obs::counter_value(comm_->rank(), vcycles_id) - vc0, adapted,
-          pd, analyzed ? &arec : nullptr, mem_on ? &mrec : nullptr,
-          drift_json);
-    }
-    if (obs::serve_active() && analyzed && comm_->rank() == 0)
-      publish_metrics(dt, stokes_solved, arec, mem_on ? &mrec : nullptr);
+    if (report)
+      report_step(dt, adapted, stokes_solved, timers() - phases0, arec,
+                  mem_on ? &mrec : nullptr, drift_json);
     // The drift record is in the telemetry tail by now, so the flight
     // recorder captures it. The trip is computed from allgathered data,
     // so every rank reaches this together.
@@ -524,142 +535,133 @@ void Simulation::mem_drift_panic() {
   throw SentinelError(mem_drift_reason_);
 }
 
-void Simulation::emit_step_telemetry(
-    double dt, std::uint64_t step_vcycles, bool adapted,
-    const PhaseTimers& step_phases, const obs::analysis::StepRecord* analysis,
-    const obs::analysis::MemRecord* mem, const std::string& drift_json) {
-  // Collective statistics first (every rank participates), then one rank
-  // writes the record.
-  const std::int64_t local_elements = forest_.tree().num_local();
-  const std::int64_t total_elements = comm_->allreduce_sum(local_elements);
-  const std::int64_t max_elements = comm_->allreduce_max(local_elements);
-  const double imbalance =
-      total_elements > 0
-          ? static_cast<double>(max_elements) * comm_->size() /
-                static_cast<double>(total_elements)
-          : 1.0;
-
-  std::array<std::int64_t, 20> hist{};
+void Simulation::set_step_gauges(std::uint64_t step_vcycles) {
+  std::array<std::int64_t, kLevelElements.size()> hist{};
   for (const auto& o : forest_.tree().leaves())
     hist[static_cast<std::size_t>(o.level)]++;
-  hist = comm_->allreduce(
-      hist,
-      [](const std::array<std::int64_t, 20>& a,
-         const std::array<std::int64_t, 20>& b) {
-        std::array<std::int64_t, 20> r;
-        for (std::size_t i = 0; i < r.size(); ++i) r[i] = a[i] + b[i];
-        return r;
-      });
-  int max_level = 0;
   for (std::size_t l = 0; l < hist.size(); ++l)
-    if (hist[l] > 0) max_level = static_cast<int>(l);
-
-  const std::uint64_t vcycles = comm_->allreduce_sum(step_vcycles);
-  const PhysicsDiagnostics phys = compute_physics_diagnostics(
-      *comm_, mesh_, forest_.connectivity(), temperature_, solution_,
-      cfg_.energy.kappa);
-
-  if (comm_->rank() != 0) return;
-  obs::TelemetryRecord rec;
-  rec.field("step", static_cast<std::int64_t>(steps_))
-      .field("time", time_)
-      .field("dt", dt)
-      .field("ranks", comm_->size())
-      .field("elements", total_elements)
-      .field("dofs", mesh_.n_global)
-      .field("partition_imbalance", imbalance)
-      .field("per_level",
-             std::span<const std::int64_t>(hist.data(),
-                                           static_cast<std::size_t>(max_level) +
-                                               1))
-      .field("picard_iterations",
-             static_cast<std::int64_t>(last_stokes_.iterations))
-      .field("amg_vcycles", vcycles);
-  if (!last_stokes_.solves.empty()) {
-    const la::SolveResult& kr = last_stokes_.solves.back();
-    rec.field("minres_iterations", static_cast<std::int64_t>(kr.iterations))
-        .field("minres_relres", kr.relative_residual)
-        .field("minres_status", la::to_string(kr.status));
-  }
-  rec.field("nusselt", phys.nusselt)
-      .field("v_rms", phys.v_rms)
-      .field("t_min", phys.t_min)
-      .field("t_max", phys.t_max)
-      .field("t_mean", phys.t_mean);
-  {
-    // Rank 0's per-phase seconds for this step: the AMR cycle stages (all
-    // ~0 on non-adapting steps), the extraction reuse statistics of the
-    // most recent EXTRACTMESH, and the solver phases so consumers can
-    // compute the AMR share of the step (Fig. 10).
-    std::ostringstream os;
-    os.precision(9);
-    os << "{\"adapted\":" << (adapted ? "true" : "false")
-       << ",\"mark\":" << step_phases.mark_elements
-       << ",\"coarsen_refine\":" << step_phases.coarsen_refine
-       << ",\"balance\":" << step_phases.balance
-       << ",\"partition\":" << step_phases.partition
-       << ",\"extract\":" << step_phases.extract_mesh
-       << ",\"interpolate\":" << step_phases.interpolate_fields
-       << ",\"transfer\":" << step_phases.transfer_fields
-       << ",\"time_integration\":" << step_phases.time_integration
-       << ",\"stokes\":"
-       << step_phases.minres + step_phases.amg_setup + step_phases.amg_apply +
-              step_phases.stokes_assemble;
-    if (adapted)
-      os << ",\"extract_reused\":" << last_extract_.reused
-         << ",\"extract_recomputed\":" << last_extract_.recomputed
-         << ",\"extract_fallback\":"
-         << (last_extract_.fallback ? "true" : "false");
-    os << "}";
-    rec.field_json("timings", os.str());
-  }
-  if (analysis != nullptr)
-    rec.field_json("critical_path",
-                   obs::analysis::critical_path_json(*analysis))
-        .field_json("wait_states", obs::analysis::wait_states_json(*analysis))
-        .field_json("latency", obs::analysis::latency_json(*analysis));
-  if (mem != nullptr)
-    rec.field_json("memory",
-                   obs::analysis::memory_json(*mem, mesh_.n_global, drift_json));
-  obs::telemetry_emit(rec);
+    obs::gauge_set(kLevelElements[l], static_cast<double>(hist[l]));
+  obs::gauge_set(kLocalElements,
+                 static_cast<double>(forest_.tree().num_local()));
+  obs::gauge_set(kStepVcycles, static_cast<double>(step_vcycles));
 }
 
-void Simulation::publish_metrics(double dt, bool stokes_solved,
-                                 const obs::analysis::StepRecord& arec,
-                                 const obs::analysis::MemRecord* mem) {
-  obs::MetricsSnapshot snap;
-  snap.step = steps_;
-  snap.sim_time = time_;
-  snap.dt = dt;
-  snap.dofs = mesh_.n_global;
-  snap.ranks = comm_->size();
-  for (const obs::analysis::GaugeStat& g : arec.gauges) {
-    if (g.name == "mesh.local_elements") {
-      snap.elements = static_cast<std::int64_t>(g.sum);
-      snap.partition_imbalance =
-          g.sum > 0 ? g.max * comm_->size() / g.sum : 1.0;
+void Simulation::report_step(double dt, bool adapted, bool stokes_solved,
+                             const PhaseTimers& step_phases,
+                             const obs::analysis::StepRecord& arec,
+                             const obs::analysis::MemRecord* mem,
+                             const std::string& drift_json) {
+  const bool telemetry = obs::telemetry_enabled();
+  PhysicsDiagnostics phys;
+  if (telemetry)
+    phys = compute_physics_diagnostics(*comm_, mesh_, forest_.connectivity(),
+                                       temperature_, solution_,
+                                       cfg_.energy.kappa);
+  if (comm_->rank() != 0) return;
+
+  const obs::analysis::GaugeStat elems = gauge(arec, kLocalElements);
+  const auto elements = static_cast<std::int64_t>(elems.sum);
+  const double imbalance =
+      elems.sum > 0 ? elems.max * comm_->size() / elems.sum : 1.0;
+  // Solver fields describe this step's Stokes solve only.
+  const bool solved = stokes_solved && !last_stokes_.solves.empty();
+
+  if (telemetry) {
+    std::array<std::int64_t, kLevelElements.size()> hist{};
+    std::size_t levels = 1;
+    for (std::size_t l = 0; l < hist.size(); ++l) {
+      hist[l] = static_cast<std::int64_t>(gauge(arec, kLevelElements[l]).sum);
+      if (hist[l] > 0) levels = l + 1;
     }
+    obs::TelemetryRecord rec;
+    rec.field("step", static_cast<std::int64_t>(steps_))
+        .field("time", time_)
+        .field("dt", dt)
+        .field("ranks", comm_->size())
+        .field("elements", elements)
+        .field("dofs", mesh_.n_global)
+        .field("partition_imbalance", imbalance)
+        .field("per_level",
+               std::span<const std::int64_t>(hist.data(), levels));
+    if (solved) {
+      // Every rank runs the same V-cycles in lockstep: the per-solve
+      // count is the max over ranks, not the rank sum.
+      rec.field("picard_iterations",
+                static_cast<std::int64_t>(last_stokes_.iterations))
+          .field("amg_vcycles",
+                 static_cast<std::uint64_t>(gauge(arec, kStepVcycles).max))
+          .field_json("solves", solves_json(last_stokes_.solves));
+    }
+    rec.field("nusselt", phys.nusselt)
+        .field("v_rms", phys.v_rms)
+        .field("t_min", phys.t_min)
+        .field("t_max", phys.t_max)
+        .field("t_mean", phys.t_mean);
+    {
+      // Rank 0's per-phase seconds for this step: the AMR cycle stages
+      // (all ~0 on non-adapting steps), the extraction reuse statistics of
+      // the most recent EXTRACTMESH, and the solver phases so consumers
+      // can compute the AMR share of the step (Fig. 10).
+      std::ostringstream os;
+      os.precision(9);
+      os << "{\"adapted\":" << (adapted ? "true" : "false")
+         << ",\"mark\":" << step_phases.mark_elements
+         << ",\"coarsen_refine\":" << step_phases.coarsen_refine
+         << ",\"balance\":" << step_phases.balance
+         << ",\"partition\":" << step_phases.partition
+         << ",\"extract\":" << step_phases.extract_mesh
+         << ",\"interpolate\":" << step_phases.interpolate_fields
+         << ",\"transfer\":" << step_phases.transfer_fields
+         << ",\"time_integration\":" << step_phases.time_integration
+         << ",\"stokes\":"
+         << step_phases.minres + step_phases.amg_setup +
+                step_phases.amg_apply + step_phases.stokes_assemble;
+      if (adapted)
+        os << ",\"extract_reused\":" << last_extract_.reused
+           << ",\"extract_recomputed\":" << last_extract_.recomputed
+           << ",\"extract_fallback\":"
+           << (last_extract_.fallback ? "true" : "false");
+      os << "}";
+      rec.field_json("timings", os.str());
+    }
+    rec.field_json("critical_path", obs::analysis::critical_path_json(arec))
+        .field_json("wait_states", obs::analysis::wait_states_json(arec))
+        .field_json("latency", obs::analysis::latency_json(arec));
+    if (mem != nullptr)
+      rec.field_json("memory", obs::analysis::memory_json(*mem, mesh_.n_global,
+                                                          drift_json));
+    obs::telemetry_emit(rec);
   }
-  snap.cp_imbalance = arec.cp_imbalance;
-  snap.solver_ran = stokes_solved;
-  if (stokes_solved && !last_stokes_.solves.empty()) {
-    const la::SolveResult& kr = last_stokes_.solves.back();
-    snap.solver_status = la::to_string(kr.status);
-    snap.solver_iterations = kr.iterations;
-    snap.solver_relres = kr.relative_residual;
-    snap.picard_iterations = last_stokes_.iterations;
+
+  if (obs::serve_active()) {
+    obs::MetricsSnapshot snap;
+    snap.step = steps_;
+    snap.sim_time = time_;
+    snap.dt = dt;
+    snap.dofs = mesh_.n_global;
+    snap.ranks = comm_->size();
+    snap.elements = elements;
+    snap.partition_imbalance = imbalance;
+    snap.cp_imbalance = arec.cp_imbalance;
+    snap.solver_ran = stokes_solved;
+    if (solved) {
+      const la::SolveResult& kr = last_stokes_.solves.back();
+      snap.solver_status = la::to_string(kr.status);
+      snap.solver_iterations = kr.iterations;
+      snap.solver_relres = kr.relative_residual;
+      snap.picard_iterations = last_stokes_.iterations;
+    }
+    snap.counters = arec.counters;
+    snap.hists = obs::analysis::merged_histograms();
+    for (const obs::analysis::PhaseWaits& w : arec.waits)
+      snap.wait_blocked_s += w.w.blocked_s();
+    if (mem != nullptr && mem->enabled) {
+      snap.mem_available = true;
+      snap.mem_accounted_total = mem->acc_total;
+      snap.mem_rss_max = mem->rss_available ? mem->rss_max : 0;
+    }
+    obs::metrics_publish(snap);
   }
-  snap.counters = arec.counters;
-  snap.hists = obs::analysis::merged_histograms();
-  for (const obs::analysis::PhaseWaits& w : arec.waits)
-    snap.wait_blocked_s +=
-        w.w.late_sender_s + w.w.transfer_s + w.w.collective_s;
-  if (mem != nullptr && mem->enabled) {
-    snap.mem_available = true;
-    snap.mem_accounted_total = mem->acc_total;
-    snap.mem_rss_max = mem->rss_available ? mem->rss_max : 0;
-  }
-  obs::metrics_publish(snap);
 }
 
 void Simulation::check_sentinels() {

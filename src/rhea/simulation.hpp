@@ -42,6 +42,9 @@ struct PhaseTimers {
   }
 };
 
+/// Field-wise difference: the seconds spent between two readings.
+PhaseTimers operator-(PhaseTimers a, const PhaseTimers& b);
+
 /// Per-adaptation-step statistics (Fig. 5).
 struct AdaptationStats {
   std::int64_t refined = 0;         // old elements split
@@ -175,18 +178,19 @@ class Simulation {
 
  private:
   void extract_and_rebuild(std::span<const double> element_temps);
-  void emit_step_telemetry(double dt, std::uint64_t step_vcycles, bool adapted,
-                           const PhaseTimers& step_phases,
-                           const obs::analysis::StepRecord* analysis,
-                           const obs::analysis::MemRecord* mem,
-                           const std::string& drift_json);
-  /// Rank 0 only: fill a MetricsSnapshot from this step's analysis record
-  /// (element gauges, counters, cumulative latency histograms all arrived
-  /// in the analysis exchange — no extra collectives) and hand it to the
-  /// obs::serve double buffer.
-  void publish_metrics(double dt, bool stokes_solved,
-                       const obs::analysis::StepRecord& arec,
-                       const obs::analysis::MemRecord* mem);
+  /// Set this rank's gauges for the step's analysis exchange: element
+  /// count, per-level element counts, and the step's V-cycle count.
+  void set_step_gauges(std::uint64_t step_vcycles);
+  /// The one per-step report. Builds the telemetry record and the metrics
+  /// snapshot on rank 0 from one set of values, all derived from the
+  /// analysis record's gauges; the only collective is the physics
+  /// diagnostics (telemetry only). Solver fields cover this step's
+  /// solve only (`stokes_solved`).
+  void report_step(double dt, bool adapted, bool stokes_solved,
+                   const PhaseTimers& step_phases,
+                   const obs::analysis::StepRecord& arec,
+                   const obs::analysis::MemRecord* mem,
+                   const std::string& drift_json);
   void check_sentinels();
 
   /// Pull-model byte accounting: push every subsystem's current

@@ -20,6 +20,7 @@
 #include "obs/obs.hpp"
 #include "obs/serve.hpp"
 #include "par/runtime.hpp"
+#include "rhea/simulation.hpp"
 
 #ifndef ALPS_OBS_DISABLE
 #include <arpa/inet.h>
@@ -196,6 +197,15 @@ TEST_F(ServeTest, DeltaSinceIsolatesTheStepWindow) {
   // Nearest-rank at q=0.5 over {5e-2, 6e-2} targets index floor(0.5*2)=1,
   // i.e. the 6e-2 sample.
   EXPECT_LE(std::abs(d.quantile(0.5) - 6e-2), 0.04 * 6e-2);
+
+  // A lone sample near the top of its bucket: the window's estimated max
+  // must still bound the exact sum (max <= sum <= count * max).
+  const Histogram base2 = cum;
+  cum.record(0.999 * Histogram::bucket_upper(Histogram::bucket_index(0.03)));
+  const Histogram d2 = cum.delta_since(base2);
+  ASSERT_EQ(d2.count(), 1u);
+  EXPECT_LE(d2.max(), d2.sum());
+  EXPECT_LE(d2.sum(), static_cast<double>(d2.count()) * d2.max());
 }
 
 TEST_F(ServeTest, CrossRankMergeThroughAnalyzeStepMatchesDirectRecording) {
@@ -438,6 +448,34 @@ TEST_F(ServeTest, HealthzFlipsTo503OnStagnationAndStickyMark) {
   EXPECT_NE(http_get(port, "/healthz").find("503"), std::string::npos);
   EXPECT_NE(http_get(port, "/metrics").find("alps_healthy 0"),
             std::string::npos);
+}
+TEST_F(ServeTest, StatusPublishesStepsWhenWaitAnalysisIsOff) {
+  // ALPS_ANALYSIS=0 only turns off the wait-state clock reads; the step
+  // report's exchange still runs for the endpoint, so /status advances.
+  const int port = obs::serve_start(0);
+  ASSERT_GT(port, 0);
+  obs::set_analysis_enabled(false);
+  par::run(2, [](par::Comm& c) {
+    rhea::SimConfig cfg;
+    cfg.init_level = 2;
+    cfg.min_level = 1;
+    cfg.max_level = 3;
+    cfg.initial_adapt_rounds = 0;
+    cfg.adapt_every = 0;
+    cfg.energy.kappa = 1e-6;
+    cfg.energy.dirichlet_faces = 0b111111;
+    cfg.prescribed_velocity = [](const std::array<double, 3>&, double) {
+      return std::array<double, 3>{1.0, 0.0, 0.0};
+    };
+    rhea::Simulation sim(c, cfg);
+    sim.initialize(
+        [](const std::array<double, 3>& p) { return p[0] * (1.0 - p[0]); });
+    sim.run(2);
+  });
+  const std::string status = http_get(port, "/status");
+  EXPECT_NE(status.find("200 OK"), std::string::npos);
+  EXPECT_NE(status.find("\"step\":2"), std::string::npos) << status;
+  EXPECT_NE(status.find("\"elements\":64"), std::string::npos) << status;
 }
 #endif  // ALPS_OBS_DISABLE
 

@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "amg/amg.hpp"
@@ -23,6 +25,7 @@
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
 #include "par/runtime.hpp"
+#include "rhea/diagnostics.hpp"
 #include "rhea/simulation.hpp"
 
 namespace {
@@ -265,6 +268,53 @@ TEST_F(TelemetryTest, AmgSolveTracksConvergenceFactors) {
   EXPECT_TRUE(found);
 }
 
+namespace {
+
+/// A small P-rank transport run (prescribed velocity, no adaptation).
+rhea::SimConfig transport_config() {
+  rhea::SimConfig cfg;
+  cfg.init_level = 2;
+  cfg.min_level = 1;
+  cfg.max_level = 3;
+  cfg.initial_adapt_rounds = 0;
+  cfg.adapt_every = 0;
+  cfg.energy.kappa = 1e-6;
+  cfg.energy.dirichlet_faces = 0b111111;
+  cfg.prescribed_velocity = [](const std::array<double, 3>&, double) {
+    return std::array<double, 3>{1.0, 0.0, 0.0};
+  };
+  return cfg;
+}
+
+double parabola(const std::array<double, 3>& p) { return p[0] * (1.0 - p[0]); }
+
+/// World-total CommStats spent by `fn` on every rank, fenced by barriers
+/// so both snapshots see every rank's calls (barriers are not counted as
+/// allreduce or allgather calls).
+par::CommStats measure(par::Comm& c, const std::function<void()>& fn) {
+  c.barrier();
+  const par::CommStats s0 = par::snapshot(c.stats());
+  c.barrier();
+  fn();
+  c.barrier();
+  const par::CommStats s1 = par::snapshot(c.stats());
+  c.barrier();
+  par::CommStats d;
+  d.allreduce_calls = s1.allreduce_calls - s0.allreduce_calls;
+  d.allgather_calls = s1.allgather_calls - s0.allgather_calls;
+  return d;
+}
+
+/// The integer value of the first "key" in a JSON line (-1 when absent).
+long long json_int(const std::string& line, const std::string& key) {
+  const std::string quoted = "\"" + key + "\": ";
+  const std::size_t at = line.find(quoted);
+  if (at == std::string::npos) return -1;
+  return std::atoll(line.c_str() + at + quoted.size());
+}
+
+}  // namespace
+
 // ---- flight recorder --------------------------------------------------
 
 TEST_F(TelemetryTest, SentinelTripWritesFlightRecorderBundle) {
@@ -276,22 +326,10 @@ TEST_F(TelemetryTest, SentinelTripWritesFlightRecorderBundle) {
 
   auto run = [] {
     par::run(2, [](par::Comm& c) {
-      rhea::SimConfig cfg;
-      cfg.init_level = 2;
-      cfg.min_level = 1;
-      cfg.max_level = 3;
-      cfg.initial_adapt_rounds = 0;
-      cfg.adapt_every = 0;
-      cfg.energy.kappa = 1e-6;
-      cfg.energy.dirichlet_faces = 0b111111;
-      cfg.prescribed_velocity = [](const std::array<double, 3>&, double) {
-        return std::array<double, 3>{1.0, 0.0, 0.0};
-      };
+      rhea::SimConfig cfg = transport_config();
       cfg.nan_inject_step = 2;
       rhea::Simulation sim(c, cfg);
-      sim.initialize([](const std::array<double, 3>& p) {
-        return p[0] * (1.0 - p[0]);
-      });
+      sim.initialize(parabola);
       sim.run(6);  // must die at step 2
     });
   };
@@ -319,6 +357,108 @@ TEST_F(TelemetryTest, SentinelTripWritesFlightRecorderBundle) {
   EXPECT_TRUE(static_cast<bool>(std::getline(tail, first_line)));
   EXPECT_EQ(first_line.front(), '{');
   std::filesystem::remove_all(dump_dir);
+}
+
+
+// ---- per-step report ----------------------------------------------------
+
+TEST_F(TelemetryTest, StepReportAddsNoCollectivesBeyondPhysicsDiagnostics) {
+  // One non-adapting step at P=2, telemetry off and then on. Everything
+  // the record reports across ranks travels in the analysis exchange (a
+  // size allgather plus one allgatherv), so telemetry adds exactly those
+  // two allgathers and the physics diagnostics' own allreduces.
+  obs::set_telemetry_path(temp_path("telemetry_collectives.jsonl"));
+  constexpr int kRanks = 2;
+  auto step_cost = [](bool telemetry, par::CommStats* diag) {
+    obs::set_telemetry(telemetry);
+    par::CommStats cost;
+    par::run(kRanks, [&](par::Comm& c) {
+      const rhea::SimConfig cfg = transport_config();
+      rhea::Simulation sim(c, cfg);
+      sim.initialize(parabola);
+      const par::CommStats d = measure(c, [&] { sim.run(1); });
+      const par::CommStats dd = measure(c, [&] {
+        (void)rhea::compute_physics_diagnostics(
+            c, sim.mesh(), sim.forest().connectivity(), sim.temperature(),
+            sim.solution(), cfg.energy.kappa);
+      });
+      if (c.rank() == 0) {
+        cost = d;
+        if (diag != nullptr) *diag = dd;
+      }
+    });
+    return cost;
+  };
+  par::CommStats diag;
+  const std::uint64_t records0 = obs::telemetry_records();
+  const par::CommStats off = step_cost(false, nullptr);
+  const par::CommStats on = step_cost(true, &diag);
+  ASSERT_EQ(obs::telemetry_records(), records0 + 1);
+  // Per rank: stats count every participating rank once.
+  EXPECT_EQ((on.allreduce_calls - off.allreduce_calls) / kRanks,
+            diag.allreduce_calls / kRanks);
+  EXPECT_EQ((on.allgather_calls - off.allgather_calls) / kRanks,
+            2 + diag.allgather_calls / kRanks);
+}
+
+TEST_F(TelemetryTest, SolverFieldsCoverOnlyThisStepsSolve) {
+  obs::set_telemetry_path(temp_path("telemetry_solves.jsonl"));
+  obs::set_telemetry(true);
+  par::run(2, [](par::Comm& c) {
+    rhea::SimConfig cfg;
+    cfg.init_level = 2;
+    cfg.min_level = 1;
+    cfg.max_level = 3;
+    cfg.initial_adapt_rounds = 0;
+    cfg.adapt_every = 0;
+    cfg.energy.kappa = 1.0;
+    cfg.picard.rayleigh = 1e4;
+    cfg.picard.max_iterations = 2;
+    cfg.picard.stokes.krylov.max_iterations = 60;
+    cfg.picard.stokes.krylov.rtol = 1e-4;
+    cfg.law = rhea::three_layer_yielding(rhea::YieldingLawOptions{});
+    rhea::Simulation sim(c, cfg);
+    sim.initialize([](const std::array<double, 3>& p) {
+      return (1.0 - p[2]) + 0.1 * std::cos(M_PI * p[0]) * std::sin(M_PI * p[2]);
+    });
+
+    // Step 1 solves nothing (initialize() did): no solver fields at all.
+    sim.run(1);
+    if (c.rank() == 0) {
+      const std::string line = obs::telemetry_tail().back();
+      EXPECT_EQ(json_int(line, "step"), 1);
+      for (const char* key :
+           {"solves", "picard_iterations", "amg_vcycles", "minres_status"})
+        EXPECT_EQ(line.find(key), std::string::npos) << key;
+    }
+
+    // Step 2 solves: one solves entry per Picard iteration, and the
+    // V-cycle count is what rank 0 ran, not a sum over ranks.
+    const obs::CounterId vc = obs::wellknown::amg_vcycles();
+    const std::uint64_t vc0 = obs::counter_value(c.rank(), vc);
+    sim.run(1);
+    const std::uint64_t vcycles = obs::counter_value(c.rank(), vc) - vc0;
+    if (c.rank() == 0) {
+      const std::string line = obs::telemetry_tail().back();
+      EXPECT_EQ(json_int(line, "step"), 2);
+      ASSERT_GT(vcycles, 0u);
+      EXPECT_EQ(json_int(line, "amg_vcycles"),
+                static_cast<long long>(vcycles));
+      const stokes::PicardResult& pr = sim.last_stokes();
+      EXPECT_EQ(json_int(line, "picard_iterations"), pr.iterations);
+      const std::size_t solves = line.find("\"solves\": [");
+      ASSERT_NE(solves, std::string::npos);
+      const std::string arr =
+          line.substr(solves, line.find(']', solves) - solves);
+      std::size_t entries = 0;
+      for (std::size_t at = arr.find("\"status\": "); at != std::string::npos;
+           at = arr.find("\"status\": ", at + 1))
+        ++entries;
+      EXPECT_EQ(entries, pr.solves.size());
+      EXPECT_EQ(json_int(arr, "iterations"), pr.solves.front().iterations);
+      EXPECT_EQ(line.find("minres_"), std::string::npos);
+    }
+  });
 }
 
 TEST_F(TelemetryTest, TraceExportReportsDroppedEventsPerRank) {
