@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
               "refr/setup");
 
   bench::Reporter report("amg_setup");
-  bench::JsonWriter& json = report.json();
+  alps::obs::TelemetryRecord& json = report.json();
   json.arr_open("cases");
 
   for (int level = 3; level <= max_level; ++level) {

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
               "reuse");
 
   bench::Reporter report("amr", p);
-  bench::JsonWriter& json = report.json();
+  alps::obs::TelemetryRecord& json = report.json();
   json.arr_open("cases");
 
   for (int level = 3; level <= max_level; ++level) {

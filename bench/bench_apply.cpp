@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
       "matvec hot path (paper Sec. III solver cost)");
 
   bench::Reporter report("apply");
-  bench::JsonWriter& json = report.json();
+  alps::obs::TelemetryRecord& json = report.json();
   json.field("level", level);
   json.arr_open("cases");
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 #include "rhea/simulation.hpp"
@@ -61,7 +62,7 @@ std::string simd_level() {
 
 Reporter::Reporter(const std::string& bench_name, int ranks,
                    std::int64_t problem_size) {
-  j_.obj_open().field("bench", bench_name);
+  j_.field("bench", bench_name);
   j_.obj_open("meta")
       .field("git_sha", std::string(ALPS_GIT_SHA))
       .field("build_type", std::string(ALPS_BUILD_TYPE))
@@ -86,12 +87,7 @@ void Reporter::snapshot_obs(const std::string& label) {
   alps::obs::analysis::reset_records();
   s.latency = alps::obs::aggregate_hists();
   s.hw = alps::obs::aggregate_hw();
-  s.mem_enabled = alps::obs::mem_enabled();
-  if (s.mem_enabled) {
-    s.mem_scopes = alps::obs::aggregate_mem();
-    s.rss = alps::obs::sample_rss();
-    s.rss_peak = alps::obs::rss_peak();
-  }
+  s.memory = alps::obs::run_memory();
   snaps_.push_back(std::move(s));
 }
 
@@ -99,43 +95,19 @@ void Reporter::save(const std::string& path) {
   j_.arr_open("obs");
   for (const Snapshot& s : snaps_) {
     j_.obj_open().field("label", s.label);
-    j_.arr_open("phases");
-    for (const auto& p : s.phases) {
-      j_.obj_open()
-          .field("name", p.name)
-          .field("min_s", p.min_s)
-          .field("median_s", p.median_s)
-          .field("max_s", p.max_s)
-          .field("mean_s", p.mean_s)
-          .field("total_s", p.total_s)
-          .field("imbalance", p.imbalance)
-          .field("ranks", p.ranks)
-          .obj_close();
-    }
-    j_.arr_close();
-    j_.obj_open("counters");
-    for (const auto& [name, value] : s.counters) j_.field(name.c_str(), value);
-    j_.obj_close();
+    alps::obs::json_phases(j_, "phases", s.phases);
+    alps::obs::json_counters(j_, "counters", s.counters);
     if (s.analysis.steps > 0) {
       j_.field("analysis_steps", s.analysis.steps);
-      j_.field_raw("critical_path",
-                   alps::obs::analysis::critical_path_json(s.analysis));
-      j_.field_raw("wait_states",
-                   alps::obs::analysis::wait_states_json(s.analysis));
+      j_.field_json("critical_path",
+                    alps::obs::analysis::critical_path_json(s.analysis));
+      j_.field_json("wait_states",
+                    alps::obs::analysis::wait_states_json(s.analysis));
     }
     if (!s.latency.empty()) {
       j_.arr_open("latency");
-      for (const auto& [name, h] : s.latency) {
-        j_.obj_open()
-            .field("phase", name)
-            .field("count", h.count())
-            .field("sum_s", h.sum())
-            .field("p50_s", h.quantile(0.5))
-            .field("p95_s", h.quantile(0.95))
-            .field("p99_s", h.quantile(0.99))
-            .field("max_s", h.max())
-            .obj_close();
-      }
+      for (const auto& [name, h] : s.latency)
+        alps::obs::json_latency_row(j_, name, h);
       j_.arr_close();
     }
     if (!s.hw.empty()) {
@@ -153,31 +125,14 @@ void Reporter::save(const std::string& path) {
       }
       j_.arr_close();
     }
-    if (s.mem_enabled) {
-      std::uint64_t accounted = 0;
-      for (const auto& [name, bytes] : s.mem_scopes) accounted += bytes;
-      j_.obj_open("memory").field("accounted_bytes", accounted);
-      j_.obj_open("scopes");
-      for (const auto& [name, bytes] : s.mem_scopes)
-        j_.field(name.c_str(), bytes);
-      j_.obj_close();
-      j_.obj_open("rss").field("available", s.rss.available);
-      if (s.rss.available)
-        j_.field("rss_bytes", s.rss.rss_bytes)
-            .field("hwm_bytes", s.rss.hwm_bytes);
-      j_.obj_close();
-      if (s.rss_peak.bytes > 0) {
-        j_.field("rss_peak_bytes", s.rss_peak.bytes);
-        j_.field("rss_peak_phase",
-                 std::string(s.rss_peak.phase ? s.rss_peak.phase : ""));
-      }
-      j_.obj_close();
-    }
+    alps::obs::json_memory(j_, "memory", s.memory);
     j_.obj_close();
   }
   j_.arr_close();
-  j_.obj_close();
-  j_.save(path);
+  std::ofstream f(path);
+  if (!f) throw std::runtime_error("Reporter: cannot open " + path);
+  f << j_.json() << '\n';
+  std::printf("wrote %s\n", path.c_str());
 }
 
 AmrRates calibrate_advection_rates(int init_level, int steps,

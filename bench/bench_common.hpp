@@ -6,8 +6,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,83 +17,14 @@
 #include "obs/hwcounters.hpp"
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
+#include "obs/telemetry.hpp"
 #include "par/runtime.hpp"
 
 namespace bench {
 
-/// Minimal streaming JSON writer for the machine-readable BENCH_*.json
-/// result files. Callers are responsible for balanced open/close calls.
-class JsonWriter {
- public:
-  JsonWriter& obj_open(const char* key = nullptr) { return open(key, '{'); }
-  JsonWriter& obj_close() { return close('}'); }
-  JsonWriter& arr_open(const char* key = nullptr) { return open(key, '['); }
-  JsonWriter& arr_close() { return close(']'); }
-
-  JsonWriter& field(const char* key, double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.12g", v);
-    return raw(key, buf);
-  }
-  JsonWriter& field(const char* key, long long v) {
-    return raw(key, std::to_string(v));
-  }
-  JsonWriter& field(const char* key, std::int64_t v) {
-    return raw(key, std::to_string(v));
-  }
-  JsonWriter& field(const char* key, int v) { return raw(key, std::to_string(v)); }
-  JsonWriter& field(const char* key, std::uint64_t v) {
-    return raw(key, std::to_string(v));
-  }
-  JsonWriter& field(const char* key, bool v) {
-    return raw(key, v ? "true" : "false");
-  }
-  JsonWriter& field(const char* key, const std::string& v) {
-    return raw(key, '"' + v + '"');  // bench strings need no escaping
-  }
-  /// Pre-serialized JSON value emitted verbatim (analysis blocks).
-  JsonWriter& field_raw(const char* key, const std::string& v) {
-    return raw(key, v);
-  }
-
-  const std::string& str() const { return out_; }
-
-  void save(const std::string& path) const {
-    std::ofstream f(path);
-    if (!f) throw std::runtime_error("JsonWriter: cannot open " + path);
-    f << out_ << '\n';
-    std::printf("wrote %s\n", path.c_str());
-  }
-
- private:
-  JsonWriter& open(const char* key, char c) {
-    comma();
-    if (key) out_ += '"' + std::string(key) + "\": ";
-    out_ += c;
-    fresh_ = true;
-    return *this;
-  }
-  JsonWriter& close(char c) {
-    out_ += c;
-    fresh_ = false;
-    return *this;
-  }
-  JsonWriter& raw(const char* key, const std::string& v) {
-    comma();
-    out_ += '"' + std::string(key) + "\": " + v;
-    return *this;
-  }
-  void comma() {
-    if (!fresh_ && !out_.empty()) out_ += ", ";
-    fresh_ = false;
-  }
-
-  std::string out_;
-  bool fresh_ = true;
-};
-
 /// Append the communication counters as a nested object.
-inline void json_comm_stats(JsonWriter& j, const alps::par::CommStats& s) {
+inline void json_comm_stats(alps::obs::TelemetryRecord& j,
+                            const alps::par::CommStats& s) {
   j.obj_open("comm")
       .field("p2p_messages", s.p2p_messages)
       .field("p2p_bytes", s.p2p_bytes)
@@ -112,12 +41,11 @@ inline void json_comm_stats(JsonWriter& j, const alps::par::CommStats& s) {
 /// Every bench emits its BENCH_*.json through one Reporter so all result
 /// files share a schema: the bench's own fields, plus an "obs" array of
 /// labeled snapshots (cross-rank phase breakdowns + merged counters) taken
-/// after each par::run of interest. Open the top-level object in the
-/// constructor, write bench fields through json(), snapshot after runs,
-/// and save() once at the end — save closes the object.
+/// after each par::run of interest. Write bench fields through json()
+/// (the obs JSON writer), snapshot after runs, and save() once at the end.
 class Reporter {
  public:
-  /// Opens the top-level object and embeds a "meta" block (git SHA and
+  /// Starts the record with a "meta" block (git SHA and
   /// build type captured at configure time, wall-clock date — overridable
   /// via ALPS_BENCH_DATE for reproducible CI artifacts — plus ranks /
   /// problem_size when the bench passes them) so every BENCH_*.json is
@@ -125,17 +53,18 @@ class Reporter {
   explicit Reporter(const std::string& bench_name, int ranks = 0,
                     std::int64_t problem_size = 0);
 
-  JsonWriter& json() { return j_; }
+  alps::obs::TelemetryRecord& json() { return j_; }
 
   /// Capture the obs aggregates of the most recent par::run under `label`:
   /// phase breakdowns, merged counters, the wait-state / critical-path
   /// roll-up of every analyze_step the run performed, cross-rank latency
   /// histograms (per-phase count / sum / p50 / p95 / p99 / max rows), and
-  /// hardware-counter aggregates. The analysis step records are consumed
+  /// hardware-counter aggregates and the run memory block (obs/mem.hpp).
+  /// The analysis step records are consumed
   /// (reset) so the next snapshot only sees its own run.
   void snapshot_obs(const std::string& label);
 
-  /// Close the top-level object (appending the obs snapshots) and write.
+  /// Append the obs snapshots and write the file.
   void save(const std::string& path);
 
  private:
@@ -148,14 +77,9 @@ class Reporter {
     // percentile row per recorded phase in the JSON output.
     std::vector<std::pair<std::string, alps::obs::Histogram>> latency;
     std::vector<std::pair<std::string, alps::obs::HwCounts>> hw;
-    // Memory accounting of the run (obs/mem.hpp): per-scope bytes summed
-    // over ranks, plus the process RSS sample and cadence-sampled peak.
-    bool mem_enabled = false;
-    std::vector<std::pair<std::string, std::uint64_t>> mem_scopes;
-    alps::obs::RssSample rss;
-    alps::obs::RssPeak rss_peak;
+    alps::obs::RunMemory memory;
   };
-  JsonWriter j_;
+  alps::obs::TelemetryRecord j_;
   std::vector<Snapshot> snaps_;
 };
 

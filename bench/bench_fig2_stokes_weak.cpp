@@ -38,7 +38,7 @@ int main() {
       "contrast, as in the paper's mantle runs.");
 
   bench::Reporter report("fig2_stokes_weak");
-  bench::JsonWriter& json = report.json();
+  alps::obs::TelemetryRecord& json = report.json();
   json.arr_open("cases");
 
   std::printf("%6s %10s %10s %12s %10s %8s %10s %14s\n", "ranks", "cores(eq)",

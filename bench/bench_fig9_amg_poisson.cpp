@@ -93,8 +93,9 @@ Cost run_case(la::Csr a) {
   return c;
 }
 
-void json_case(bench::JsonWriter& j, const std::string& name, int level,
-               int ranks, const Cost& c, std::int64_t per_rank_nnz) {
+void json_case(alps::obs::TelemetryRecord& j, const std::string& name,
+               int level, int ranks, const Cost& c,
+               std::int64_t per_rank_nnz) {
   j.obj_open()
       .field("name", name)
       .field("level", level)
@@ -117,7 +118,7 @@ int main() {
               "setup(s)", "160 cyc (s)", "op-cx", "perrank-nnz");
 
   bench::Reporter report("fig9_amg_poisson");
-  bench::JsonWriter& json = report.json();
+  alps::obs::TelemetryRecord& json = report.json();
   json.arr_open("cases");
   bool all_pass = true;
 

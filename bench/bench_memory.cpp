@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
               "#dof", "accounted", "bytes/dof", "imbalance");
 
   bench::Reporter report("memory", p);
-  bench::JsonWriter& json = report.json();
+  alps::obs::TelemetryRecord& json = report.json();
   json.arr_open("cases");
 
   for (int level = 3; level <= max_level; ++level) {

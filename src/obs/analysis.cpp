@@ -4,11 +4,11 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
 #include "obs/mem.hpp"
+#include "obs/telemetry.hpp"
 #include "par/comm.hpp"
 
 namespace alps::obs::analysis {
@@ -401,52 +401,51 @@ StepRecord stitch(const std::vector<RankDelta>& deltas, int step) {
   return rec;
 }
 
-std::string fmt(double v) {
-  std::ostringstream os;
-  os.precision(9);
-  os << v;
-  return os.str();
-}
-
-void append_critical(std::ostringstream& os, double length_s, double mean_s,
-                     const std::vector<PhaseCritical>& phases) {
-  os << "{\"length_s\":" << fmt(length_s) << ",\"mean_s\":" << fmt(mean_s)
-     << ",\"imbalance\":" << fmt(mean_s > 0 ? length_s / mean_s : 1.0)
-     << ",\"phases\":[";
-  std::size_t limit = std::min<std::size_t>(phases.size(), 12);
+std::string critical_json(double length_s, double mean_s,
+                          const std::vector<PhaseCritical>& phases) {
+  TelemetryRecord w;
+  w.field("length_s", length_s)
+      .field("mean_s", mean_s)
+      .field("imbalance", mean_s > 0 ? length_s / mean_s : 1.0)
+      .arr_open("phases");
+  const std::size_t limit = std::min<std::size_t>(phases.size(), 12);
   for (std::size_t i = 0; i < limit; ++i) {
     const PhaseCritical& c = phases[i];
-    if (i) os << ",";
-    os << "{\"phase\":\"" << c.phase << "\",\"cp_s\":" << fmt(c.cp_s)
-       << ",\"mean_s\":" << fmt(c.mean_s) << ",\"rank\":" << c.rank
-       << ",\"imbalance\":" << fmt(c.imbalance) << "}";
+    w.obj_open()
+        .field("phase", c.phase)
+        .field("cp_s", c.cp_s)
+        .field("mean_s", c.mean_s)
+        .field("rank", c.rank)
+        .field("imbalance", c.imbalance)
+        .obj_close();
   }
-  os << "]}";
+  return w.arr_close().json();
 }
 
-void append_waits(std::ostringstream& os,
-                  const std::vector<PhaseWaits>& phases) {
-  os << "{\"phases\":[";
-  std::size_t limit = std::min<std::size_t>(phases.size(), 12);
+std::string waits_json(const std::vector<PhaseWaits>& phases) {
+  TelemetryRecord w;
+  w.arr_open("phases");
+  const std::size_t limit = std::min<std::size_t>(phases.size(), 12);
   for (std::size_t i = 0; i < limit; ++i) {
-    const PhaseWaits& w = phases[i];
-    if (i) os << ",";
-    os << "{\"phase\":\"" << w.phase << "\",\"wall_s\":" << fmt(w.wall_s)
-       << ",\"late_sender_s\":" << fmt(w.w.late_sender_s)
-       << ",\"transfer_s\":" << fmt(w.w.transfer_s)
-       << ",\"late_receiver_s\":" << fmt(w.w.late_receiver_s)
-       << ",\"collective_s\":" << fmt(w.w.collective_s)
-       << ",\"max_blocked_s\":" << fmt(w.max_blocked_s)
-       << ",\"recvs\":" << w.w.recvs << ",\"waited_recvs\":" << w.w.waited_recvs
-       << ",\"collectives\":" << w.w.collectives
-       << ",\"halo_ops\":" << w.w.halo_ops;
-    if (w.overlap >= 0) os << ",\"overlap\":" << fmt(w.overlap);
-    if (w.blamed_rank >= 0)
-      os << ",\"blamed_rank\":" << w.blamed_rank
-         << ",\"blamed_s\":" << fmt(w.blamed_s);
-    os << "}";
+    const PhaseWaits& p = phases[i];
+    w.obj_open()
+        .field("phase", p.phase)
+        .field("wall_s", p.wall_s)
+        .field("late_sender_s", p.w.late_sender_s)
+        .field("transfer_s", p.w.transfer_s)
+        .field("late_receiver_s", p.w.late_receiver_s)
+        .field("collective_s", p.w.collective_s)
+        .field("max_blocked_s", p.max_blocked_s)
+        .field("recvs", p.w.recvs)
+        .field("waited_recvs", p.w.waited_recvs)
+        .field("collectives", p.w.collectives)
+        .field("halo_ops", p.w.halo_ops);
+    if (p.overlap >= 0) w.field("overlap", p.overlap);
+    if (p.blamed_rank >= 0)
+      w.field("blamed_rank", p.blamed_rank).field("blamed_s", p.blamed_s);
+    w.obj_close();
   }
-  os << "]}";
+  return w.arr_close().json();
 }
 
 }  // namespace
@@ -521,46 +520,27 @@ RunSummary summarize(const std::vector<StepRecord>& recs) {
 }
 
 std::string critical_path_json(const StepRecord& rec) {
-  std::ostringstream os;
-  append_critical(os, rec.cp_length_s, rec.mean_length_s, rec.critical);
-  return os.str();
+  return critical_json(rec.cp_length_s, rec.mean_length_s, rec.critical);
 }
 
 std::string wait_states_json(const StepRecord& rec) {
-  std::ostringstream os;
-  append_waits(os, rec.waits);
-  return os.str();
+  return waits_json(rec.waits);
 }
 
 std::string critical_path_json(const RunSummary& sum) {
-  std::ostringstream os;
-  append_critical(os, sum.cp_length_s, sum.mean_length_s, sum.critical);
-  return os.str();
+  return critical_json(sum.cp_length_s, sum.mean_length_s, sum.critical);
 }
 
 std::string wait_states_json(const RunSummary& sum) {
-  std::ostringstream os;
-  append_waits(os, sum.waits);
-  return os.str();
+  return waits_json(sum.waits);
 }
 
 std::string latency_json(const StepRecord& rec) {
-  std::ostringstream os;
-  os << "{\"phases\":[";
-  bool first = true;
-  for (const PhaseLatency& l : rec.latency) {
-    if (l.hist.empty()) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"phase\":\"" << l.phase << "\",\"count\":" << l.hist.count()
-       << ",\"sum_s\":" << fmt(l.hist.sum())
-       << ",\"p50_s\":" << fmt(l.hist.quantile(0.50))
-       << ",\"p95_s\":" << fmt(l.hist.quantile(0.95))
-       << ",\"p99_s\":" << fmt(l.hist.quantile(0.99))
-       << ",\"max_s\":" << fmt(l.hist.max()) << "}";
-  }
-  os << "]}";
-  return os.str();
+  TelemetryRecord w;
+  w.arr_open("phases");
+  for (const PhaseLatency& l : rec.latency)
+    if (!l.hist.empty()) json_latency_row(w, l.phase, l.hist);
+  return w.arr_close().json();
 }
 
 // ---- memory aggregation ------------------------------------------------
@@ -572,8 +552,6 @@ std::string subsystem_of(const std::string& scope) {
   const std::size_t dot = scope.find('.');
   return dot == std::string::npos ? scope : scope.substr(0, dot);
 }
-
-std::string mem_uint(std::uint64_t v) { return std::to_string(v); }
 
 }  // namespace
 
@@ -691,60 +669,52 @@ MemRecord analyze_memory(par::Comm& comm, int step) {
 
 std::string memory_json(const MemRecord& rec, std::int64_t dofs,
                         const std::string& drift_json) {
-  std::ostringstream os;
-  if (!rec.enabled) {
-    os << "{\"available\":false}";
-    return os.str();
+  TelemetryRecord w;
+  w.field("available", rec.enabled);
+  if (!rec.enabled) return w.json();
+  const auto per_dof = [dofs](std::uint64_t bytes) {
+    return static_cast<double>(bytes) / static_cast<double>(dofs);
+  };
+  w.field("ranks", rec.ranks)
+      .obj_open("accounted")
+      .field("min_bytes", rec.acc_min)
+      .field("median_bytes", rec.acc_median)
+      .field("max_bytes", rec.acc_max)
+      .field("mean_bytes", rec.acc_mean)
+      .field("total_bytes", rec.acc_total)
+      .field("imbalance", rec.acc_imbalance)
+      .field("argmax_rank", rec.acc_argmax)
+      .field("hwm_bytes", rec.acc_hwm_max)
+      .field("hwm_phase", rec.acc_hwm_phase)
+      .obj_close();
+  // Exactly {"available":false} without a sample: check_telemetry.py
+  // fails records that mix available:false with numeric RSS fields.
+  w.obj_open("rss").field("available", rec.rss_available);
+  if (rec.rss_available)
+    w.field("min_bytes", rec.rss_min)
+        .field("max_bytes", rec.rss_max)
+        .field("mean_bytes", rec.rss_mean)
+        .field("imbalance", rec.rss_imbalance)
+        .field("argmax_rank", rec.rss_argmax)
+        .field("hwm_bytes", rec.rss_hwm_max)
+        .field("hwm_phase", rec.rss_hwm_phase);
+  w.obj_close().arr_open("subsystems");
+  for (const MemScopeStat& s : rec.subsystems) {
+    w.obj_open()
+        .field("name", s.scope)
+        .field("bytes", s.total)
+        .field("max_bytes", s.max)
+        .field("argmax_rank", s.argmax);
+    if (dofs > 0) w.field("bytes_per_dof", per_dof(s.total));
+    w.obj_close();
   }
-  os << "{\"available\":true,\"ranks\":" << rec.ranks;
-  os << ",\"accounted\":{\"min_bytes\":" << mem_uint(rec.acc_min)
-     << ",\"median_bytes\":" << fmt(rec.acc_median)
-     << ",\"max_bytes\":" << mem_uint(rec.acc_max)
-     << ",\"mean_bytes\":" << fmt(rec.acc_mean)
-     << ",\"total_bytes\":" << mem_uint(rec.acc_total)
-     << ",\"imbalance\":" << fmt(rec.acc_imbalance)
-     << ",\"argmax_rank\":" << rec.acc_argmax
-     << ",\"hwm_bytes\":" << mem_uint(rec.acc_hwm_max) << ",\"hwm_phase\":\""
-     << rec.acc_hwm_phase << "\"}";
-  if (rec.rss_available) {
-    os << ",\"rss\":{\"available\":true,\"min_bytes\":" << mem_uint(rec.rss_min)
-       << ",\"max_bytes\":" << mem_uint(rec.rss_max)
-       << ",\"mean_bytes\":" << fmt(rec.rss_mean)
-       << ",\"imbalance\":" << fmt(rec.rss_imbalance)
-       << ",\"argmax_rank\":" << rec.rss_argmax
-       << ",\"hwm_bytes\":" << mem_uint(rec.rss_hwm_max)
-       << ",\"hwm_phase\":\"" << rec.rss_hwm_phase << "\"}";
-  } else {
-    // Exactly this shape: check_telemetry.py fails records that mix
-    // available:false with numeric RSS fields.
-    os << ",\"rss\":{\"available\":false}";
-  }
-  os << ",\"subsystems\":[";
-  for (std::size_t i = 0; i < rec.subsystems.size(); ++i) {
-    const MemScopeStat& s = rec.subsystems[i];
-    if (i) os << ",";
-    os << "{\"name\":\"" << s.scope << "\",\"bytes\":" << mem_uint(s.total)
-       << ",\"max_bytes\":" << mem_uint(s.max)
-       << ",\"argmax_rank\":" << s.argmax;
-    if (dofs > 0)
-      os << ",\"bytes_per_dof\":"
-         << fmt(static_cast<double>(s.total) / static_cast<double>(dofs));
-    os << "}";
-  }
-  os << "],\"scopes\":[";
-  for (std::size_t i = 0; i < rec.scopes.size(); ++i) {
-    const MemScopeStat& s = rec.scopes[i];
-    if (i) os << ",";
-    os << "{\"name\":\"" << s.scope << "\",\"bytes\":" << mem_uint(s.total)
-       << "}";
-  }
-  os << "]";
-  if (dofs > 0)
-    os << ",\"bytes_per_dof\":"
-       << fmt(static_cast<double>(rec.acc_total) / static_cast<double>(dofs));
-  if (!drift_json.empty()) os << ",\"drift\":" << drift_json;
-  os << "}";
-  return os.str();
+  w.arr_close().arr_open("scopes");
+  for (const MemScopeStat& s : rec.scopes)
+    w.obj_open().field("name", s.scope).field("bytes", s.total).obj_close();
+  w.arr_close();
+  if (dofs > 0) w.field("bytes_per_dof", per_dof(rec.acc_total));
+  if (!drift_json.empty()) w.field_json("drift", drift_json);
+  return w.json();
 }
 
 }  // namespace alps::obs::analysis

@@ -254,6 +254,22 @@ RssPeak rss_peak() {
   return RssPeak{s.rss_peak_bytes, s.rss_peak_phase};
 }
 
+RunMemory run_memory() {
+  RunMemory m;
+  m.available = mem_enabled();
+  if (!m.available) return m;
+  for (std::size_t r = 0; r < state().slots.size(); ++r) {
+    const int rank = static_cast<int>(r);
+    m.by_rank.push_back(mem_accounted(rank));
+    const MemHwm h = mem_hwm(rank);
+    if (h.bytes >= m.hwm.bytes) m.hwm = h;
+  }
+  m.rss = sample_rss();
+  m.peak = rss_peak();
+  m.scopes = aggregate_mem();
+  return m;
+}
+
 namespace memdetail {
 
 void world_begin(int nranks) {

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -95,11 +96,6 @@ std::string fmt_num(double v) {
   return buf;
 }
 
-std::string fmt_json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  return fmt_num(v);
-}
-
 /// Prometheus metric-name charset: [a-zA-Z0-9_:]; everything else -> '_'.
 std::string sanitize_metric(const std::string& name) {
   std::string out = name;
@@ -151,13 +147,13 @@ std::string prometheus_text(const MetricsSnapshot& snap) {
   append_gauge(out, "alps_wait_blocked_seconds",
                "Rank-summed blocked time in the last step",
                snap.wait_blocked_s);
-  if (snap.solver_ran) {
+  if (!snap.solves.empty()) {
+    const SolveRow& last = snap.solves.back();
     append_gauge(out, "alps_solver_iterations",
                  "Krylov iterations of the last Stokes solve",
-                 static_cast<double>(snap.solver_iterations));
+                 static_cast<double>(last.iterations));
     append_gauge(out, "alps_solver_relative_residual",
-                 "Relative residual of the last Stokes solve",
-                 snap.solver_relres);
+                 "Relative residual of the last Stokes solve", last.relres);
     append_gauge(out, "alps_picard_iterations",
                  "Picard iterations of the last Stokes solve",
                  static_cast<double>(snap.picard_iterations));
@@ -210,44 +206,40 @@ std::string prometheus_text(const MetricsSnapshot& snap) {
 
 std::string status_json(const MetricsSnapshot& snap, double eta_s,
                         double step_rate_per_s, long target_steps) {
-  std::string out = "{";
-  out += "\"step\":" + std::to_string(snap.step);
-  out += ",\"time\":" + fmt_json_num(snap.sim_time);
-  out += ",\"dt\":" + fmt_json_num(snap.dt);
-  out += ",\"dofs\":" + std::to_string(snap.dofs);
-  out += ",\"elements\":" + std::to_string(snap.elements);
-  out += ",\"ranks\":" + std::to_string(snap.ranks);
-  out += ",\"partition_imbalance\":" + fmt_json_num(snap.partition_imbalance);
-  out += ",\"cp_imbalance\":" + fmt_json_num(snap.cp_imbalance);
-  out += std::string(",\"healthy\":") + (snap.healthy ? "true" : "false");
-  out += ",\"health_reason\":\"" + snap.health_reason + "\"";
-  out += ",\"solver\":{";
-  if (snap.solver_ran) {
-    out += "\"status\":\"" + snap.solver_status + "\"";
-    out += ",\"iterations\":" + std::to_string(snap.solver_iterations);
-    out += ",\"relative_residual\":" + fmt_json_num(snap.solver_relres);
-    out += ",\"picard_iterations\":" + std::to_string(snap.picard_iterations);
+  TelemetryRecord w;
+  w.field("step", snap.step)
+      .field("time", snap.sim_time)
+      .field("dt", snap.dt)
+      .field("dofs", snap.dofs)
+      .field("elements", snap.elements)
+      .field("ranks", snap.ranks)
+      .field("partition_imbalance", snap.partition_imbalance)
+      .field("cp_imbalance", snap.cp_imbalance)
+      .field("healthy", snap.healthy)
+      .field("health_reason", snap.health_reason)
+      .obj_open("solver");
+  if (snap.solves.empty()) {
+    w.field_json("status", "null");
   } else {
-    out += "\"status\":null";
+    w.field("picard_iterations", snap.picard_iterations);
+    json_solves(w, "solves", snap.solves);
   }
-  out += "}";
-  out += ",\"wait_blocked_s\":" + fmt_json_num(snap.wait_blocked_s);
-  if (snap.mem_available) {
-    out += ",\"memory\":{\"accounted_total_bytes\":" +
-           std::to_string(snap.mem_accounted_total) +
-           ",\"rss_max_bytes\":" + std::to_string(snap.mem_rss_max) + "}";
-  }
-  out += ",\"target_steps\":" +
-         (target_steps >= 0 ? std::to_string(target_steps)
-                            : std::string("null"));
-  out += ",\"step_rate_per_s\":" +
-         (step_rate_per_s > 0 ? fmt_json_num(step_rate_per_s)
-                              : std::string("null"));
-  out += ",\"eta_s\":" +
-         (eta_s >= 0 ? fmt_json_num(eta_s) : std::string("null"));
-  out += ",\"telemetry_records\":" + std::to_string(telemetry_records());
-  out += "}";
-  return out;
+  w.obj_close().field("wait_blocked_s", snap.wait_blocked_s);
+  if (snap.mem_available)
+    w.obj_open("memory")
+        .field("accounted_total_bytes", snap.mem_accounted_total)
+        .field("rss_max_bytes", snap.mem_rss_max)
+        .obj_close();
+  // An unknown target, rate or ETA goes to the writer as NaN, which it
+  // writes as null.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return w
+      .field("target_steps",
+             target_steps >= 0 ? static_cast<double>(target_steps) : nan)
+      .field("step_rate_per_s", step_rate_per_s > 0 ? step_rate_per_s : nan)
+      .field("eta_s", eta_s >= 0 ? eta_s : nan)
+      .field("telemetry_records", telemetry_records())
+      .json();
 }
 
 // ---- publishing --------------------------------------------------------
@@ -273,11 +265,12 @@ void metrics_publish(const MetricsSnapshot& snap) {
   if (target >= 0 && rate > 0)
     eta = target > snap.step ? (target - snap.step) / rate : 0.0;
 
-  // Stagnation tracking: consecutive solves that made no progress.
-  if (snap.solver_ran) {
-    const bool bad = snap.solver_status == "stagnated" ||
-                     snap.solver_status == "diverged" ||
-                     snap.solver_status == "nonfinite";
+  // Stagnation tracking: consecutive steps whose last solve made no
+  // progress.
+  if (!snap.solves.empty()) {
+    const std::string& status = snap.solves.back().status;
+    const bool bad = status == "stagnated" || status == "diverged" ||
+                     status == "nonfinite";
     s.consecutive_stagnated = bad ? s.consecutive_stagnated + 1 : 0;
   }
 
@@ -415,7 +408,8 @@ void handle_connection(ServeState& s, int fd) {
   } else if (path == "/status") {
     const int c = acquire_slot(s);
     if (c < 0) {
-      send_response(fd, 200, "OK", "application/json", "{\"step\":null}");
+      send_response(fd, 200, "OK", "application/json",
+                    TelemetryRecord().field_json("step", "null").json());
       return;
     }
     send_response(fd, 200, "OK", "application/json", s.bufs[c].status);

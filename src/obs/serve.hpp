@@ -10,7 +10,7 @@
 //                    counters, and one histogram series per phase
 //                    (alps_latency_seconds{phase=...}).
 //   /status          JSON run manifest: step, sim time, dt, dofs,
-//                    elements, health, last solver status, and a
+//                    elements, health, the step's solver rows, and a
 //                    wall-clock ETA from a sliding-window step rate.
 //   /healthz         200 "ok" while stepping; 503 after a sentinel trip
 //                    or >= N consecutive stagnated/failed solves.
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
+#include "obs/telemetry.hpp"
 
 namespace alps::obs {
 
@@ -49,12 +50,10 @@ struct MetricsSnapshot {
   int ranks = 0;
   double partition_imbalance = 1;
   double cp_imbalance = 1;
-  // Most recent Stokes outcome; solver_ran is false on steps that only
-  // advanced energy (stagnation tracking ignores those).
-  bool solver_ran = false;
-  std::string solver_status;  // la::to_string token; "" before any solve
-  int solver_iterations = 0;
-  double solver_relres = 0;
+  // This step's Stokes solves, one row per Picard iteration; empty on
+  // steps that only advanced energy (stagnation tracking ignores those,
+  // and the Prometheus solver gauges report the last row).
+  std::vector<SolveRow> solves;
   int picard_iterations = 0;
   bool healthy = true;
   std::string health_reason;  // "" while healthy

@@ -1,5 +1,6 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -45,6 +46,15 @@ Sink& sink() {
   return s;
 }
 
+/// The override, else ALPS_TELEMETRY_OUT, else the default. Caller holds
+/// s.mtx.
+std::string path_locked(const Sink& s) {
+  if (!s.path_override.empty()) return s.path_override;
+  if (const char* env = std::getenv("ALPS_TELEMETRY_OUT"))
+    if (*env != '\0') return env;
+  return "alps_telemetry.jsonl";
+}
+
 }  // namespace
 
 bool telemetry_enabled() {
@@ -59,10 +69,7 @@ void set_telemetry(bool on) {
 std::string telemetry_path() {
   Sink& s = sink();
   std::lock_guard<std::mutex> lock(s.mtx);
-  if (!s.path_override.empty()) return s.path_override;
-  if (const char* env = std::getenv("ALPS_TELEMETRY_OUT"))
-    if (*env != '\0') return env;
-  return "alps_telemetry.jsonl";
+  return path_locked(s);
 }
 
 void set_telemetry_path(const std::string& path) {
@@ -77,60 +84,136 @@ void set_telemetry_path(const std::string& path) {
 
 // ---- record builder ---------------------------------------------------
 
-void TelemetryRecord::comma() {
-  if (!body_.empty()) body_ += ", ";
+void TelemetryRecord::key(const char* key) {
+  // A value never ends in an open bracket, so one look back tells whether
+  // this is the first member of its container.
+  if (!body_.empty() && body_.back() != '{' && body_.back() != '[')
+    body_ += ',';
+  if (key == nullptr) return;
+  body_ += '"';
+  body_ += key;
+  body_ += "\":";
 }
 
-TelemetryRecord& TelemetryRecord::field(const char* key, double v) {
-  comma();
-  // JSON has no NaN/Inf literal; a dying run (the flight-recorder case)
-  // must still produce parseable lines, so non-finite becomes null.
-  char buf[40] = "null";
-  if (std::isfinite(v)) std::snprintf(buf, sizeof buf, "%.12g", v);
-  body_ += '"' + std::string(key) + "\": " + buf;
+TelemetryRecord& TelemetryRecord::open(const char* key, char c) {
+  this->key(key);
+  body_ += c;
   return *this;
 }
 
-TelemetryRecord& TelemetryRecord::field(const char* key, std::int64_t v) {
-  comma();
-  body_ += '"' + std::string(key) + "\": " + std::to_string(v);
-  return *this;
-}
-
-TelemetryRecord& TelemetryRecord::field(const char* key, std::uint64_t v) {
-  comma();
-  body_ += '"' + std::string(key) + "\": " + std::to_string(v);
-  return *this;
-}
-
-TelemetryRecord& TelemetryRecord::field(const char* key, int v) {
-  return field(key, static_cast<std::int64_t>(v));
-}
-
-TelemetryRecord& TelemetryRecord::field(const char* key,
-                                        const std::string& v) {
-  comma();
-  body_ += '"' + std::string(key) + "\": \"" + v + '"';
+TelemetryRecord& TelemetryRecord::close(char c) {
+  body_ += c;
   return *this;
 }
 
 TelemetryRecord& TelemetryRecord::field_json(const char* key,
-                                             const std::string& raw) {
-  comma();
-  body_ += '"' + std::string(key) + "\": " + raw;
+                                             std::string_view raw) {
+  this->key(key);
+  body_ += raw;
+  return *this;
+}
+
+TelemetryRecord& TelemetryRecord::field(const char* key, double v) {
+  char buf[32] = "null";
+  if (std::isfinite(v)) std::snprintf(buf, sizeof buf, "%.9g", v);
+  return field_json(key, buf);
+}
+
+TelemetryRecord& TelemetryRecord::field(const char* key, bool v) {
+  return field_json(key, v ? "true" : "false");
+}
+
+TelemetryRecord& TelemetryRecord::field(const char* key, std::string_view v) {
+  this->key(key);
+  body_ += '"';
+  body_ += v;
+  body_ += '"';
   return *this;
 }
 
 TelemetryRecord& TelemetryRecord::field(const char* key,
                                         std::span<const std::int64_t> v) {
-  comma();
-  body_ += '"' + std::string(key) + "\": [";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) body_ += ", ";
-    body_ += std::to_string(v[i]);
+  arr_open(key);
+  for (const std::int64_t x : v) field(nullptr, x);
+  return arr_close();
+}
+
+// ---- fact encoders ------------------------------------------------------
+
+void json_counters(
+    TelemetryRecord& w, const char* key,
+    const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
+  w.obj_open(key);
+  for (const auto& [name, value] : counters) w.field(name.c_str(), value);
+  w.obj_close();
+}
+
+void json_phases(TelemetryRecord& w, const char* key,
+                 const std::vector<PhaseBreakdown>& phases) {
+  w.arr_open(key);
+  for (const PhaseBreakdown& p : phases)
+    w.obj_open()
+        .field("name", p.name)
+        .field("min_s", p.min_s)
+        .field("median_s", p.median_s)
+        .field("max_s", p.max_s)
+        .field("mean_s", p.mean_s)
+        .field("total_s", p.total_s)
+        .field("imbalance", p.imbalance)
+        .field("ranks", p.ranks)
+        .obj_close();
+  w.arr_close();
+}
+
+void json_latency_row(TelemetryRecord& w, const std::string& phase,
+                      const Histogram& h) {
+  w.obj_open()
+      .field("phase", phase)
+      .field("count", h.count())
+      .field("sum_s", h.sum())
+      .field("p50_s", h.quantile(0.50))
+      .field("p95_s", h.quantile(0.95))
+      .field("p99_s", h.quantile(0.99))
+      .field("max_s", h.max())
+      .obj_close();
+}
+
+void json_memory(TelemetryRecord& w, const char* key, const RunMemory& m) {
+  w.obj_open(key).field("available", m.available);
+  if (!m.available) {
+    w.obj_close();
+    return;
   }
-  body_ += ']';
-  return *this;
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : m.by_rank) total += b;
+  w.obj_open("accounted").arr_open("by_rank");
+  for (const std::uint64_t b : m.by_rank) w.field(nullptr, b);
+  w.arr_close()
+      .field("total_bytes", total)
+      .field("hwm_bytes", m.hwm.bytes)
+      .field("hwm_phase", m.hwm.phase != nullptr ? m.hwm.phase : "")
+      .obj_close();
+  w.obj_open("rss").field("available", m.rss.available);
+  if (m.rss.available)
+    w.field("rss_bytes", m.rss.rss_bytes)
+        .field("hwm_bytes", std::max(m.rss.hwm_bytes, m.peak.bytes))
+        .field("peak_bytes", m.peak.bytes)
+        .field("peak_phase", m.peak.phase != nullptr ? m.peak.phase : "");
+  w.obj_close();
+  json_counters(w, "scopes", m.scopes);
+  w.obj_close();
+}
+
+void json_solves(TelemetryRecord& w, const char* key,
+                 const std::vector<SolveRow>& rows) {
+  w.arr_open(key);
+  for (const SolveRow& r : rows)
+    w.obj_open()
+        .field("status", r.status)
+        .field("iterations", r.iterations)
+        .field("relres", r.relres)
+        .obj_close();
+  w.arr_close();
 }
 
 // ---- sink -------------------------------------------------------------
@@ -144,12 +227,7 @@ void telemetry_emit(const TelemetryRecord& rec) {
   if (s.tail.size() > kTailCapacity) s.tail.pop_front();
   if (!telemetry_enabled()) return;  // tail still records for the dump
   if (!s.opened) {
-    std::string path = s.path_override;
-    if (path.empty()) {
-      if (const char* env = std::getenv("ALPS_TELEMETRY_OUT"))
-        if (*env != '\0') path = env;
-      if (path.empty()) path = "alps_telemetry.jsonl";
-    }
+    const std::string path = path_locked(s);
     s.file.open(path, std::ios::trunc);
     if (!s.file)
       throw std::runtime_error("obs: cannot open telemetry output " + path);

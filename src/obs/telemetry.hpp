@@ -14,17 +14,27 @@
 // registry of recent solver residual histories — both are written into
 // the flight-recorder bundle (obs/dump.hpp) when a run dies.
 //
+// The record builder is also the repository's one JSON writer, and the
+// facts several outputs report (counters, phases, latency rows, run
+// memory, solver rows) each have one encoder here.
+//
 // Enablement: ALPS_TELEMETRY=1 (or any non-empty value but "0") turns the
 // stream on; ALPS_TELEMETRY_OUT overrides the output path (default
 // "alps_telemetry.jsonl"). set_telemetry()/set_telemetry_path() override
 // the environment programmatically (tests). Emission is mutex-guarded —
 // it is a once-per-timestep cold path.
 
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/histogram.hpp"
+#include "obs/mem.hpp"
+#include "obs/obs.hpp"
 
 namespace alps::obs {
 
@@ -42,29 +52,97 @@ std::string telemetry_path();
 /// empty string restores the default resolution). Closes any open sink.
 void set_telemetry_path(const std::string& path);
 
-// ---- record builder ---------------------------------------------------
+// ---- record builder: the one JSON writer -------------------------------
 
-/// One JSONL record. Keys are emitted in call order; no escaping is
-/// performed (telemetry keys and string values are ASCII identifiers).
+/// One JSON object, built member by member — the only JSON writer in the
+/// repository: telemetry records, the obs::analysis blocks, /status, the
+/// flight-recorder files and BENCH_*.json all go through it, so they
+/// share one number policy and one separator style. Finite doubles print
+/// as %.9g, non-finite ones as null (JSON has no NaN/Inf literal, and a
+/// dying run must still produce parseable lines), integers exactly;
+/// members are compact "k":v. Keys are emitted in call order. A null key
+/// writes a bare value: an array element, or the top-level value when
+/// the caller reads str() instead of json(). No escaping is performed
+/// (keys and string values are ASCII identifiers or quote-free text).
+/// Callers balance the open/close calls.
 class TelemetryRecord {
  public:
   TelemetryRecord& field(const char* key, double v);
-  TelemetryRecord& field(const char* key, std::int64_t v);
-  TelemetryRecord& field(const char* key, std::uint64_t v);
-  TelemetryRecord& field(const char* key, int v);
-  TelemetryRecord& field(const char* key, const std::string& v);
+  template <std::integral T>
+  TelemetryRecord& field(const char* key, T v) {
+    return field_json(key, std::to_string(v));
+  }
+  TelemetryRecord& field(const char* key, bool v);
+  TelemetryRecord& field(const char* key, std::string_view v);
+  // Without this overload a string literal would convert to bool.
+  TelemetryRecord& field(const char* key, const char* v) {
+    return field(key, std::string_view(v));
+  }
   /// Integer array value, e.g. per-level element counts.
   TelemetryRecord& field(const char* key, std::span<const std::int64_t> v);
   /// Pre-serialized JSON value emitted verbatim (obs::analysis blocks).
-  TelemetryRecord& field_json(const char* key, const std::string& raw);
+  TelemetryRecord& field_json(const char* key, std::string_view raw);
+
+  /// Nested containers: the member `key` (or a bare value for null).
+  TelemetryRecord& obj_open(const char* key = nullptr) {
+    return open(key, '{');
+  }
+  TelemetryRecord& obj_close() { return close('}'); }
+  TelemetryRecord& arr_open(const char* key = nullptr) {
+    return open(key, '[');
+  }
+  TelemetryRecord& arr_close() { return close(']'); }
 
   /// The record as a single JSON object line (no trailing newline).
   std::string json() const { return "{" + body_ + "}"; }
+  /// The members (or the one bare top-level value) without the braces.
+  const std::string& str() const { return body_; }
 
  private:
-  void comma();
+  void key(const char* key);
+  TelemetryRecord& open(const char* key, char c);
+  TelemetryRecord& close(char c);
   std::string body_;
 };
+
+// ---- one encoder per fact ---------------------------------------------
+//
+// Facts that several outputs report are encoded once, here. Each writes
+// one value under `key` (a bare value for a null key).
+
+/// {"name":count,...} — the merged counter table (counters.json and the
+/// BENCH_*.json "counters" block); also the memory block's scope table.
+void json_counters(
+    TelemetryRecord& w, const char* key,
+    const std::vector<std::pair<std::string, std::uint64_t>>& counters);
+/// [{"name","min_s","median_s","max_s","mean_s","total_s","imbalance",
+/// "ranks"},...] — the cross-rank phase table (phases.json and the
+/// BENCH_*.json "phases" block).
+void json_phases(TelemetryRecord& w, const char* key,
+                 const std::vector<PhaseBreakdown>& phases);
+/// One percentile row {"phase","count","sum_s","p50_s","p95_s","p99_s",
+/// "max_s"} as an array element (the telemetry latency block and the
+/// BENCH_*.json latency rows).
+void json_latency_row(TelemetryRecord& w, const std::string& phase,
+                      const Histogram& h);
+/// The run memory block (memory.json and the BENCH_*.json "memory"
+/// block): {"available":false}, or {"available":true,"accounted":{
+/// "by_rank","total_bytes","hwm_bytes","hwm_phase"},"rss":{..},"scopes":
+/// {name:bytes}} where rss is {"available":false} or {"available":true,
+/// "rss_bytes","hwm_bytes","peak_bytes","peak_phase"}.
+void json_memory(TelemetryRecord& w, const char* key, const RunMemory& m);
+
+/// One Krylov solve of a Picard iteration.
+struct SolveRow {
+  std::string status;  // la::to_string token
+  int iterations = 0;
+  double relres = 0;
+};
+/// [{"status","iterations","relres"},...] — one row per Picard
+/// iteration's solve, in order (the telemetry "solves" field and the
+/// /status solver block).
+void json_solves(TelemetryRecord& w, const char* key,
+                 const std::vector<SolveRow>& rows);
 
 // ---- sink -------------------------------------------------------------
 

@@ -65,19 +65,14 @@ obs::analysis::GaugeStat gauge(const obs::analysis::StepRecord& rec,
   return {};
 }
 
-/// The telemetry "solves" array: one {status, iterations, relres} object
-/// per Picard iteration's Krylov solve, in order.
-std::string solves_json(const std::vector<la::SolveResult>& solves) {
-  std::string out = "[";
-  for (const la::SolveResult& r : solves) {
-    obs::TelemetryRecord s;
-    s.field("status", la::to_string(r.status))
-        .field("iterations", r.iterations)
-        .field("relres", r.relative_residual);
-    if (out.size() > 1) out += ",";
-    out += s.json();
-  }
-  return out + "]";
+/// One row per Picard iteration's Krylov solve, in order.
+std::vector<obs::SolveRow> solve_rows(
+    const std::vector<la::SolveResult>& solves) {
+  std::vector<obs::SolveRow> rows;
+  for (const la::SolveResult& r : solves)
+    rows.push_back(
+        {la::to_string(r.status), r.iterations, r.relative_residual});
+  return rows;
 }
 
 }  // namespace
@@ -512,14 +507,15 @@ std::string Simulation::update_mem_drift(const obs::analysis::MemRecord& mrec,
     mem_drift_reason_ = os.str();
   }
 
-  std::ostringstream os;
-  os.precision(9);
-  os << "{\"window\":" << w << ",\"samples\":" << n
-     << ",\"slope_bytes_per_step\":" << max_slope << ",\"rank\":" << arg
-     << ",\"rss_slope_bytes_per_step\":" << rss_slope
-     << ",\"warn\":" << (warn ? "true" : "false")
-     << ",\"panic\":" << (panic ? "true" : "false") << "}";
-  return os.str();
+  obs::TelemetryRecord drift;
+  return drift.field("window", w)
+      .field("samples", n)
+      .field("slope_bytes_per_step", max_slope)
+      .field("rank", arg)
+      .field("rss_slope_bytes_per_step", rss_slope)
+      .field("warn", warn)
+      .field("panic", panic)
+      .json();
 }
 
 void Simulation::mem_drift_panic() {
@@ -564,7 +560,9 @@ void Simulation::report_step(double dt, bool adapted, bool stokes_solved,
   const double imbalance =
       elems.sum > 0 ? elems.max * comm_->size() / elems.sum : 1.0;
   // Solver fields describe this step's Stokes solve only.
-  const bool solved = stokes_solved && !last_stokes_.solves.empty();
+  const std::vector<obs::SolveRow> solves =
+      stokes_solved ? solve_rows(last_stokes_.solves)
+                    : std::vector<obs::SolveRow>{};
 
   if (telemetry) {
     std::array<std::int64_t, kLevelElements.size()> hist{};
@@ -574,7 +572,7 @@ void Simulation::report_step(double dt, bool adapted, bool stokes_solved,
       if (hist[l] > 0) levels = l + 1;
     }
     obs::TelemetryRecord rec;
-    rec.field("step", static_cast<std::int64_t>(steps_))
+    rec.field("step", steps_)
         .field("time", time_)
         .field("dt", dt)
         .field("ranks", comm_->size())
@@ -583,48 +581,42 @@ void Simulation::report_step(double dt, bool adapted, bool stokes_solved,
         .field("partition_imbalance", imbalance)
         .field("per_level",
                std::span<const std::int64_t>(hist.data(), levels));
-    if (solved) {
+    if (!solves.empty()) {
       // Every rank runs the same V-cycles in lockstep: the per-solve
       // count is the max over ranks, not the rank sum.
-      rec.field("picard_iterations",
-                static_cast<std::int64_t>(last_stokes_.iterations))
+      rec.field("picard_iterations", last_stokes_.iterations)
           .field("amg_vcycles",
-                 static_cast<std::uint64_t>(gauge(arec, kStepVcycles).max))
-          .field_json("solves", solves_json(last_stokes_.solves));
+                 static_cast<std::uint64_t>(gauge(arec, kStepVcycles).max));
+      obs::json_solves(rec, "solves", solves);
     }
     rec.field("nusselt", phys.nusselt)
         .field("v_rms", phys.v_rms)
         .field("t_min", phys.t_min)
         .field("t_max", phys.t_max)
         .field("t_mean", phys.t_mean);
-    {
-      // Rank 0's per-phase seconds for this step: the AMR cycle stages
-      // (all ~0 on non-adapting steps), the extraction reuse statistics of
-      // the most recent EXTRACTMESH, and the solver phases so consumers
-      // can compute the AMR share of the step (Fig. 10).
-      std::ostringstream os;
-      os.precision(9);
-      os << "{\"adapted\":" << (adapted ? "true" : "false")
-         << ",\"mark\":" << step_phases.mark_elements
-         << ",\"coarsen_refine\":" << step_phases.coarsen_refine
-         << ",\"balance\":" << step_phases.balance
-         << ",\"partition\":" << step_phases.partition
-         << ",\"extract\":" << step_phases.extract_mesh
-         << ",\"interpolate\":" << step_phases.interpolate_fields
-         << ",\"transfer\":" << step_phases.transfer_fields
-         << ",\"time_integration\":" << step_phases.time_integration
-         << ",\"stokes\":"
-         << step_phases.minres + step_phases.amg_setup +
-                step_phases.amg_apply + step_phases.stokes_assemble;
-      if (adapted)
-        os << ",\"extract_reused\":" << last_extract_.reused
-           << ",\"extract_recomputed\":" << last_extract_.recomputed
-           << ",\"extract_fallback\":"
-           << (last_extract_.fallback ? "true" : "false");
-      os << "}";
-      rec.field_json("timings", os.str());
-    }
-    rec.field_json("critical_path", obs::analysis::critical_path_json(arec))
+    // Rank 0's per-phase seconds for this step: the AMR cycle stages (all
+    // ~0 on non-adapting steps), the extraction reuse statistics of the
+    // most recent EXTRACTMESH, and the solver phases so consumers can
+    // compute the AMR share of the step (Fig. 10).
+    rec.obj_open("timings")
+        .field("adapted", adapted)
+        .field("mark", step_phases.mark_elements)
+        .field("coarsen_refine", step_phases.coarsen_refine)
+        .field("balance", step_phases.balance)
+        .field("partition", step_phases.partition)
+        .field("extract", step_phases.extract_mesh)
+        .field("interpolate", step_phases.interpolate_fields)
+        .field("transfer", step_phases.transfer_fields)
+        .field("time_integration", step_phases.time_integration)
+        .field("stokes", step_phases.minres + step_phases.amg_setup +
+                             step_phases.amg_apply +
+                             step_phases.stokes_assemble);
+    if (adapted)
+      rec.field("extract_reused", last_extract_.reused)
+          .field("extract_recomputed", last_extract_.recomputed)
+          .field("extract_fallback", last_extract_.fallback);
+    rec.obj_close()
+        .field_json("critical_path", obs::analysis::critical_path_json(arec))
         .field_json("wait_states", obs::analysis::wait_states_json(arec))
         .field_json("latency", obs::analysis::latency_json(arec));
     if (mem != nullptr)
@@ -643,14 +635,8 @@ void Simulation::report_step(double dt, bool adapted, bool stokes_solved,
     snap.elements = elements;
     snap.partition_imbalance = imbalance;
     snap.cp_imbalance = arec.cp_imbalance;
-    snap.solver_ran = stokes_solved;
-    if (solved) {
-      const la::SolveResult& kr = last_stokes_.solves.back();
-      snap.solver_status = la::to_string(kr.status);
-      snap.solver_iterations = kr.iterations;
-      snap.solver_relres = kr.relative_residual;
-      snap.picard_iterations = last_stokes_.iterations;
-    }
+    snap.solves = solves;
+    if (!solves.empty()) snap.picard_iterations = last_stokes_.iterations;
     snap.counters = arec.counters;
     snap.hists = obs::analysis::merged_histograms();
     for (const obs::analysis::PhaseWaits& w : arec.waits)

@@ -264,10 +264,7 @@ obs::MetricsSnapshot sample_snapshot() {
   snap.ranks = 4;
   snap.partition_imbalance = 1.08;
   snap.cp_imbalance = 1.3;
-  snap.solver_ran = true;
-  snap.solver_status = "converged";
-  snap.solver_iterations = 42;
-  snap.solver_relres = 3e-6;
+  snap.solves = {{"max_iterations", 60, 2e-4}, {"converged", 42, 3e-6}};
   snap.picard_iterations = 2;
   snap.counters.emplace_back("amg.vcycles", 12u);
   Histogram h;
@@ -324,11 +321,18 @@ TEST_F(ServeTest, StatusJsonCarriesSolverEtaAndHealth) {
   EXPECT_NE(j.find("\"step\":7"), std::string::npos);
   EXPECT_NE(j.find("\"healthy\":true"), std::string::npos);
   EXPECT_NE(j.find("\"status\":\"converged\""), std::string::npos);
+  // Every Picard solve of the step, in order, not just the last one.
+  EXPECT_NE(j.find("\"solves\":[{\"status\":\"max_iterations\","
+                   "\"iterations\":60,\"relres\":0.0002},"
+                   "{\"status\":\"converged\",\"iterations\":42,"
+                   "\"relres\":3e-06}]"),
+            std::string::npos)
+      << j;
   EXPECT_NE(j.find("\"target_steps\":100"), std::string::npos);
   EXPECT_NE(j.find("\"eta_s\":12.5"), std::string::npos);
   EXPECT_NE(j.find("\"step_rate_per_s\":0.8"), std::string::npos);
   // Unknown rate/ETA and a never-ran solver render as nulls, not garbage.
-  snap.solver_ran = false;
+  snap.solves.clear();
   j = obs::status_json(snap, -1, 0, -1);
   EXPECT_NE(j.find("\"status\":null"), std::string::npos);
   EXPECT_NE(j.find("\"eta_s\":null"), std::string::npos);
@@ -426,7 +430,7 @@ TEST_F(ServeTest, HealthzFlipsTo503OnStagnationAndStickyMark) {
   obs::metrics_set_stagnation_limit(3);
 
   obs::MetricsSnapshot snap = sample_snapshot();
-  snap.solver_status = "stagnated";
+  snap.solves.back().status = "stagnated";
   for (int i = 0; i < 2; ++i) obs::metrics_publish(snap);
   EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
   obs::metrics_publish(snap);  // third consecutive: trip
@@ -435,7 +439,7 @@ TEST_F(ServeTest, HealthzFlipsTo503OnStagnationAndStickyMark) {
   EXPECT_NE(r.find("stagnated_solves=3"), std::string::npos);
 
   // One good solve clears the run...
-  snap.solver_status = "converged";
+  snap.solves.back().status = "converged";
   obs::metrics_publish(snap);
   EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
 

@@ -21,6 +21,7 @@
 #include "amg/amg.hpp"
 #include "la/csr.hpp"
 #include "la/krylov.hpp"
+#include "obs/analysis.hpp"
 #include "obs/dump.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
@@ -82,16 +83,32 @@ TEST_F(TelemetryTest, RecordBuildsValidJson) {
       .field("status", std::string("converged"))
       .field("per_level", std::span<const std::int64_t>(levels, 3));
   EXPECT_EQ(rec.json(),
-            "{\"step\": 3, \"dt\": 0.25, \"status\": \"converged\", "
-            "\"per_level\": [4, 8, 0]}");
+            "{\"step\":3,\"dt\":0.25,\"status\":\"converged\","
+            "\"per_level\":[4,8,0]}");
 }
 
 TEST_F(TelemetryTest, NonFiniteDoublesBecomeNull) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   obs::TelemetryRecord rec;
-  rec.field("a", std::numeric_limits<double>::quiet_NaN())
-      .field("b", std::numeric_limits<double>::infinity())
+  rec.field("a", kNan)
+      .field("b", kInf)
       .field("c", 1.5);
-  EXPECT_EQ(rec.json(), "{\"a\": null, \"b\": null, \"c\": 1.5}");
+  // Nested objects and arrays go through the same writer.
+  rec.obj_open("o").field("x", -kInf).field("y", kNan).obj_close();
+  rec.arr_open("v").field(nullptr, kNan).field(nullptr, kInf);
+  rec.field(nullptr, -kInf).field(nullptr, 2.0).arr_close();
+  EXPECT_EQ(rec.json(),
+            "{\"a\":null,\"b\":null,\"c\":1.5,"
+            "\"o\":{\"x\":null,\"y\":null},"
+            "\"v\":[null,null,null,2]}");
+  // So do the analysis blocks.
+  obs::analysis::StepRecord step;
+  step.cp_length_s = kNan;
+  step.critical.push_back({"p", kInf, kNan, 0, -kInf});
+  const std::string cp = obs::analysis::critical_path_json(step);
+  EXPECT_EQ(cp.find("nan"), std::string::npos) << cp;
+  EXPECT_EQ(cp.find("inf"), std::string::npos) << cp;
 }
 
 TEST_F(TelemetryTest, TailRecordsEvenWhenFileSinkDisabled) {
@@ -103,7 +120,7 @@ TEST_F(TelemetryTest, TailRecordsEvenWhenFileSinkDisabled) {
   EXPECT_EQ(obs::telemetry_records(), before + 1);
   const std::vector<std::string> tail = obs::telemetry_tail();
   ASSERT_FALSE(tail.empty());
-  EXPECT_EQ(tail.back(), "{\"step\": 1}");
+  EXPECT_EQ(tail.back(), "{\"step\":1}");
 }
 
 TEST_F(TelemetryTest, FileRoundTrip) {
@@ -123,7 +140,7 @@ TEST_F(TelemetryTest, FileRoundTrip) {
     ++count;
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"step\": " + std::to_string(count)),
+    EXPECT_NE(line.find("\"step\":" + std::to_string(count)),
               std::string::npos);
   }
   EXPECT_EQ(count, 3);
@@ -307,7 +324,7 @@ par::CommStats measure(par::Comm& c, const std::function<void()>& fn) {
 
 /// The integer value of the first "key" in a JSON line (-1 when absent).
 long long json_int(const std::string& line, const std::string& key) {
-  const std::string quoted = "\"" + key + "\": ";
+  const std::string quoted = "\"" + key + "\":";
   const std::size_t at = line.find(quoted);
   if (at == std::string::npos) return -1;
   return std::atoll(line.c_str() + at + quoted.size());
@@ -446,13 +463,13 @@ TEST_F(TelemetryTest, SolverFieldsCoverOnlyThisStepsSolve) {
                 static_cast<long long>(vcycles));
       const stokes::PicardResult& pr = sim.last_stokes();
       EXPECT_EQ(json_int(line, "picard_iterations"), pr.iterations);
-      const std::size_t solves = line.find("\"solves\": [");
+      const std::size_t solves = line.find("\"solves\":[");
       ASSERT_NE(solves, std::string::npos);
       const std::string arr =
           line.substr(solves, line.find(']', solves) - solves);
       std::size_t entries = 0;
-      for (std::size_t at = arr.find("\"status\": "); at != std::string::npos;
-           at = arr.find("\"status\": ", at + 1))
+      for (std::size_t at = arr.find("\"status\":"); at != std::string::npos;
+           at = arr.find("\"status\":", at + 1))
         ++entries;
       EXPECT_EQ(entries, pr.solves.size());
       EXPECT_EQ(json_int(arr, "iterations"), pr.solves.front().iterations);
