@@ -48,6 +48,27 @@ const QuadTables& tables() {
   return t;
 }
 
+/// Jacobian J_de = d x_d / d xi_e at quadrature point q, and its
+/// determinant. map_element and quad_weights share this one summation
+/// order and determinant expression, so their |J| values are bit-identical.
+double jacobian(const ElemGeom& geom, const QuadTables& t, int q,
+                double (&j)[3][3]) {
+  for (auto& row : j)
+    for (double& v : row) v = 0.0;
+  for (int i = 0; i < 8; ++i)
+    for (int d = 0; d < 3; ++d)
+      for (int e = 0; e < 3; ++e)
+        j[d][e] += geom[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)] *
+                   t.dn_ref[static_cast<std::size_t>(q)]
+                           [static_cast<std::size_t>(i)]
+                           [static_cast<std::size_t>(e)];
+  const double det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1]) -
+                     j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0]) +
+                     j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
+  assert(det > 0.0);
+  return det;
+}
+
 }  // namespace
 
 const std::array<std::array<double, 8>, kQuad>& shape_values() {
@@ -58,19 +79,8 @@ MappedQuad map_element(const ElemGeom& geom) {
   const QuadTables& t = tables();
   MappedQuad mq;
   for (int q = 0; q < kQuad; ++q) {
-    // Jacobian J_de = d x_d / d xi_e.
-    double j[3][3] = {};
-    for (int i = 0; i < 8; ++i)
-      for (int d = 0; d < 3; ++d)
-        for (int e = 0; e < 3; ++e)
-          j[d][e] += geom[static_cast<std::size_t>(i)][static_cast<std::size_t>(d)] *
-                     t.dn_ref[static_cast<std::size_t>(q)]
-                             [static_cast<std::size_t>(i)]
-                             [static_cast<std::size_t>(e)];
-    const double det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1]) -
-                       j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0]) +
-                       j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
-    assert(det > 0.0);
+    double j[3][3];
+    const double det = jacobian(geom, t, q, j);
     // Inverse transpose of J.
     double inv[3][3];
     inv[0][0] = (j[1][1] * j[2][2] - j[1][2] * j[2][1]) / det;
@@ -104,10 +114,20 @@ MappedQuad map_element(const ElemGeom& geom) {
   return mq;
 }
 
+std::array<double, kQuad> quad_weights(const ElemGeom& geom) {
+  const QuadTables& t = tables();
+  std::array<double, kQuad> jxw;
+  for (int q = 0; q < kQuad; ++q) {
+    double j[3][3];
+    jxw[static_cast<std::size_t>(q)] =
+        jacobian(geom, t, q, j) * t.w[static_cast<std::size_t>(q)];
+  }
+  return jxw;
+}
+
 double element_volume(const ElemGeom& geom) {
-  const MappedQuad mq = map_element(geom);
   double v = 0.0;
-  for (double w : mq.jxw) v += w;
+  for (double w : quad_weights(geom)) v += w;
   return v;
 }
 

@@ -29,6 +29,12 @@ struct MappedQuad {
 
 MappedQuad map_element(const ElemGeom& geom);
 
+/// The |J| * weight values of map_element alone, bit-identical to
+/// map_element(geom).jxw, without the inverse Jacobian, the physical
+/// gradients or the quadrature point positions.
+std::array<double, kQuad> quad_weights(const ElemGeom& geom);
+
+/// Sum of quad_weights(geom).
 double element_volume(const ElemGeom& geom);
 
 /// Scalar variable-viscosity stiffness: K_ij = int eta grad(phi_i).grad(phi_j).

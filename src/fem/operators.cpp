@@ -10,6 +10,14 @@ ElemGeom element_geometry(const mesh::Mesh& m, const forest::Connectivity& conn,
   return g;
 }
 
+std::vector<std::array<double, kQuad>> element_quad_weights(
+    const mesh::Mesh& m, const forest::Connectivity& conn) {
+  std::vector<std::array<double, kQuad>> w(m.elements.size());
+  for (std::size_t e = 0; e < w.size(); ++e)
+    w[e] = quad_weights(element_geometry(m, conn, e));
+  return w;
+}
+
 ElementOperator build_scalar_laplace(const mesh::Mesh& m,
                                      const forest::Connectivity& conn,
                                      const CoeffFn& eta,

@@ -18,6 +18,11 @@ using CoeffFn = std::function<double(const std::array<double, 3>&)>;
 ElemGeom element_geometry(const mesh::Mesh& m, const forest::Connectivity& conn,
                           std::size_t e);
 
+/// quad_weights of every mesh element, in element order: the per-mesh
+/// geometry that volume integrals of nodal fields need.
+std::vector<std::array<double, kQuad>> element_quad_weights(
+    const mesh::Mesh& m, const forest::Connectivity& conn);
+
 /// K_ij = int eta grad(phi_i).grad(phi_j), Dirichlet on the physical faces
 /// whose bits are set in `dirichlet_faces` (bit f = octree face f).
 ElementOperator build_scalar_laplace(const mesh::Mesh& m,

@@ -1,6 +1,7 @@
 #include "rhea/diagnostics.hpp"
 
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -9,18 +10,19 @@
 namespace alps::rhea {
 
 PhysicsDiagnostics compute_physics_diagnostics(
-    par::Comm& comm, const mesh::Mesh& m, const forest::Connectivity& conn,
+    par::Comm& comm, const mesh::Mesh& m,
+    std::span<const std::array<double, fem::kQuad>> jxw,
     std::span<const double> temperature, std::span<const double> solution,
     double kappa) {
+  assert(jxw.size() == m.elements.size());
   const auto& shapes = fem::shape_values();
-  // Local quadrature sums: volume, u_z T, |u|^2, T. Elements are owned
-  // leaves (never replicated across ranks), so one allreduce over the
-  // packed sums yields the global integrals.
-  std::array<double, 4> sums{};
+  // One reduction carries everything: the local quadrature sums (volume,
+  // u_z T, |u|^2, T; elements are owned leaves, never replicated across
+  // ranks, so their sums are the global integrals) and the extrema over
+  // owned dofs, as max(-tmin) and max(tmax).
+  std::array<double, 6> red{};
   std::array<double, 8> te, ue[3];
   for (std::size_t e = 0; e < m.elements.size(); ++e) {
-    const fem::MappedQuad mq =
-        fem::map_element(fem::element_geometry(m, conn, e));
     // Gather nodal values through the hanging-node constraints.
     for (int i = 0; i < 8; ++i) {
       const mesh::Corner& cc = m.corners[e][static_cast<std::size_t>(i)];
@@ -51,26 +53,12 @@ PhysicsDiagnostics compute_physics_diagnostics(
           uq[static_cast<std::size_t>(c)] +=
               n * ue[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)];
       }
-      const double w = mq.jxw[static_cast<std::size_t>(q)];
-      sums[0] += w;
-      sums[1] += w * uq[2] * tq;
-      sums[2] += w * (uq[0] * uq[0] + uq[1] * uq[1] + uq[2] * uq[2]);
-      sums[3] += w * tq;
+      const double w = jxw[e][static_cast<std::size_t>(q)];
+      red[0] += w;
+      red[1] += w * uq[2] * tq;
+      red[2] += w * (uq[0] * uq[0] + uq[1] * uq[1] + uq[2] * uq[2]);
+      red[3] += w * tq;
     }
-  }
-  sums = comm.allreduce(
-      sums, [](const std::array<double, 4>& a, const std::array<double, 4>& b) {
-        std::array<double, 4> r;
-        for (std::size_t i = 0; i < r.size(); ++i) r[i] = a[i] + b[i];
-        return r;
-      });
-
-  PhysicsDiagnostics d;
-  const double vol = sums[0];
-  if (vol > 0.0) {
-    d.v_rms = std::sqrt(sums[2] / vol);
-    d.t_mean = sums[3] / vol;
-    if (kappa > 0.0) d.nusselt = 1.0 + sums[1] / vol / kappa;
   }
   double tmin = std::numeric_limits<double>::infinity();
   double tmax = -std::numeric_limits<double>::infinity();
@@ -79,10 +67,38 @@ PhysicsDiagnostics compute_physics_diagnostics(
     tmin = t < tmin ? t : tmin;
     tmax = t > tmax ? t : tmax;
   }
-  d.t_min = comm.allreduce_min(tmin);
-  d.t_max = comm.allreduce_max(tmax);
+  // Negation is exact, so -max(-tmin) is bit-for-bit the min over ranks.
+  red[4] = -tmin;
+  red[5] = tmax;
+  red = comm.allreduce(
+      red, [](const std::array<double, 6>& a, const std::array<double, 6>& b) {
+        std::array<double, 6> r;
+        for (std::size_t i = 0; i < 4; ++i) r[i] = a[i] + b[i];
+        for (std::size_t i = 4; i < r.size(); ++i)
+          r[i] = a[i] > b[i] ? a[i] : b[i];
+        return r;
+      });
+
+  PhysicsDiagnostics d;
+  const double vol = red[0];
+  if (vol > 0.0) {
+    d.v_rms = std::sqrt(red[2] / vol);
+    d.t_mean = red[3] / vol;
+    if (kappa > 0.0) d.nusselt = 1.0 + red[1] / vol / kappa;
+  }
+  d.t_min = -red[4];
+  d.t_max = red[5];
   if (!(d.t_min <= d.t_max)) d.t_min = d.t_max = 0.0;  // no owned dofs
   return d;
+}
+
+PhysicsDiagnostics compute_physics_diagnostics(
+    par::Comm& comm, const mesh::Mesh& m, const forest::Connectivity& conn,
+    std::span<const double> temperature, std::span<const double> solution,
+    double kappa) {
+  return compute_physics_diagnostics(comm, m,
+                                     fem::element_quad_weights(m, conn),
+                                     temperature, solution, kappa);
 }
 
 }  // namespace alps::rhea

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <thread>
 
+#include "fem/operators.hpp"
 #include "io/vtk.hpp"
 #include "mesh/fields.hpp"
 #include "obs/dump.hpp"
@@ -108,10 +109,15 @@ std::int64_t Simulation::global_elements() const {
   return comm_->allreduce_sum(forest_.tree().num_local());
 }
 
+void Simulation::set_mesh(Mesh m) {
+  mesh_ = std::move(m);
+  amg_cache_.bump_epoch();  // new mesh: every cached AMG structure is stale
+  quad_weights_.clear();
+}
+
 void Simulation::initialize(
     const std::function<double(const std::array<double, 3>&)>& t0) {
-  mesh_ = mesh::extract_mesh(*comm_, forest_);
-  amg_cache_.bump_epoch();
+  set_mesh(mesh::extract_mesh(*comm_, forest_));
   temperature_ = fem::interpolate(mesh_, t0);
 
   // Resolve the initial condition: a few mark/adapt/extract rounds where
@@ -131,8 +137,7 @@ void Simulation::initialize(
     forest_.tree().adapt(flags, cfg_.min_level, cfg_.max_level);
     forest_.balance(*comm_);
     forest_.partition(*comm_);
-    mesh_ = mesh::extract_mesh(*comm_, forest_);
-    amg_cache_.bump_epoch();
+    set_mesh(mesh::extract_mesh(*comm_, forest_));
     temperature_ = fem::interpolate(mesh_, t0);
   }
   solution_.assign(static_cast<std::size_t>(mesh_.n_local) * 4, 0.0);
@@ -171,11 +176,10 @@ void Simulation::extract_and_rebuild(std::span<const double> element_temps) {
     std::vector<octree::Octant> ghosts =
         mesh::ghost_layer(*comm_, forest_.tree(), forest_.connectivity());
     mesh::ExtractStats stats;
-    mesh_ = mesh::extract_mesh_incremental(*comm_, forest_, std::move(ghosts),
-                                           mesh_, &stats);
+    set_mesh(mesh::extract_mesh_incremental(*comm_, forest_, std::move(ghosts),
+                                            mesh_, &stats));
     last_extract_ = stats;
   }
-  amg_cache_.bump_epoch();  // new mesh: every cached AMG structure is stale
   temperature_ = mesh::from_element_values(*comm_, mesh_, element_temps);
   solution_.assign(static_cast<std::size_t>(mesh_.n_local) * 4, 0.0);
   energy_.reset();
@@ -295,13 +299,17 @@ void Simulation::adapt_once() {
   // EXTRACTMESH + nodal rebuild.
   extract_and_rebuild(ev);
 
-  // Level histogram and totals.
-  std::array<std::int64_t, 20> hist{};
+  // Level histogram and totals, in one reduction.
+  using Hist = std::array<std::int64_t, 20>;
+  Hist hist{};
   for (const auto& o : tree.leaves())
     hist[static_cast<std::size_t>(o.level)]++;
-  for (std::size_t l = 0; l < hist.size(); ++l)
-    stats.per_level[l] = comm_->allreduce_sum(hist[l]);
-  stats.total_elements = global_elements();
+  stats.per_level = comm_->allreduce(hist, [](const Hist& a, const Hist& b) {
+    Hist r;
+    for (std::size_t l = 0; l < r.size(); ++l) r[l] = a[l] + b[l];
+    return r;
+  });
+  for (const std::int64_t n : stats.per_level) stats.total_elements += n;
   adapt_history_.push_back(stats);
 }
 
@@ -394,6 +402,7 @@ void Simulation::account_memory() {
   static const obs::MemScopeId kFemPlan = mem_scope("fem.plan");
   static const obs::MemScopeId kEnergy = mem_scope("energy.fields");
   static const obs::MemScopeId kFields = mem_scope("rhea.fields");
+  static const obs::MemScopeId kQuadWeights = mem_scope("rhea.quad_weights");
   static const obs::MemScopeId kAmgOps = mem_scope("amg.operators");
   static const obs::MemScopeId kAmgInterp = mem_scope("amg.interpolation");
   static const obs::MemScopeId kAmgRap = mem_scope("amg.rap_plan");
@@ -413,6 +422,7 @@ void Simulation::account_memory() {
   mem_set(kEnergy, energy_ ? energy_->memory_bytes() : 0);
   mem_set(kFields,
           obs::vec_bytes(temperature_) + obs::vec_bytes(solution_));
+  mem_set(kQuadWeights, obs::vec_bytes(quad_weights_));
 
   amg::DistAmg::MemoryBytes ab;
   for (const auto& a : amg_cache_.amg) {
@@ -549,10 +559,13 @@ void Simulation::report_step(double dt, bool adapted, bool stokes_solved,
                              const std::string& drift_json) {
   const bool telemetry = obs::telemetry_enabled();
   PhysicsDiagnostics phys;
-  if (telemetry)
-    phys = compute_physics_diagnostics(*comm_, mesh_, forest_.connectivity(),
+  if (telemetry) {
+    if (quad_weights_.empty())
+      quad_weights_ = fem::element_quad_weights(mesh_, forest_.connectivity());
+    phys = compute_physics_diagnostics(*comm_, mesh_, quad_weights_,
                                        temperature_, solution_,
                                        cfg_.energy.kappa);
+  }
   if (comm_->rank() != 0) return;
 
   const obs::analysis::GaugeStat elems = gauge(arec, kLocalElements);

@@ -177,6 +177,8 @@ class Simulation {
   const mesh::ExtractStats& last_extract() const { return last_extract_; }
 
  private:
+  /// Replace mesh_ and drop everything cached for the old one.
+  void set_mesh(Mesh m);
   void extract_and_rebuild(std::span<const double> element_temps);
   /// Set this rank's gauges for the step's analysis exchange: element
   /// count, per-level element counts, and the step's V-cycle count.
@@ -184,8 +186,8 @@ class Simulation {
   /// The one per-step report. Builds the telemetry record and the metrics
   /// snapshot on rank 0 from one set of values, all derived from the
   /// analysis record's gauges; the only collective is the physics
-  /// diagnostics (telemetry only). Solver fields cover this step's
-  /// solve only (`stokes_solved`).
+  /// diagnostics' one allreduce (telemetry only). Solver fields cover this
+  /// step's solve only (`stokes_solved`).
   void report_step(double dt, bool adapted, bool stokes_solved,
                    const PhaseTimers& step_phases,
                    const obs::analysis::StepRecord& arec,
@@ -223,6 +225,9 @@ class Simulation {
   // AMG hierarchies shared across Picard iterations and non-adapting
   // timesteps; its epoch is bumped on every mesh rebuild.
   amg::HierarchyCache amg_cache_;
+  // fem::element_quad_weights of mesh_ for the physics diagnostics; filled
+  // by the first telemetry report on a mesh, emptied by set_mesh.
+  std::vector<std::array<double, fem::kQuad>> quad_weights_;
   // Drift-detector window: one row per non-adapting step, per-rank
   // accounted bytes (identical on every rank — analyze_memory allgathers
   // them — so the trip decision below is collective-safe without another

@@ -7,11 +7,14 @@
 
 #include "amg/amg.hpp"
 #include "fem/operators.hpp"
+#include "forests.hpp"
 #include "par/runtime.hpp"
 
 namespace {
 
 using namespace alps;
+using test_util::frustum;
+using test_util::half_refined;
 using fem::ElemGeom;
 using fem::ElementOperator;
 using fem::MappedQuad;
@@ -156,6 +159,59 @@ TEST(Hex8, SupgTauLimits) {
   // Diffusion-dominated: tau -> h^2/(12 kappa), tiny compared to h/(2|u|).
   EXPECT_NEAR(fem::supg_tau(0.1, 0.01, 10.0), 0.01 / 120.0, 1e-7);
   EXPECT_LT(fem::supg_tau(0.1, 0.01, 10.0), 0.1 / (2.0 * 0.01) * 0.01);
+}
+
+/// quad_weights, element_volume and map_element's jxw agree bit for bit.
+void expect_weights_match(const ElemGeom& g) {
+  const MappedQuad mq = fem::map_element(g);
+  EXPECT_EQ(fem::quad_weights(g), mq.jxw);
+  double vol = 0.0;
+  for (double w : mq.jxw) vol += w;
+  EXPECT_EQ(fem::element_volume(g), vol);
+}
+
+TEST(Hex8, QuadWeightsMatchMapElementBitwise) {
+  alps::par::run(1, [](Comm& c) {
+    // Adapted unit cube (affine elements) and an adapted frustum (|J|
+    // varies over every element), through the mesh-level helper.
+    for (Connectivity conn : {Connectivity::unit_cube(), frustum()}) {
+      const Forest f = half_refined(c, conn, 2, 0.6);
+      const Mesh m = extract_mesh(c, f);
+      const std::vector<std::array<double, fem::kQuad>> w =
+          fem::element_quad_weights(m, f.connectivity());
+      ASSERT_EQ(w.size(), m.elements.size());
+      for (std::size_t e = 0; e < w.size(); ++e) {
+        const ElemGeom g = fem::element_geometry(m, f.connectivity(), e);
+        EXPECT_EQ(w[e], fem::map_element(g).jxw) << e;
+        expect_weights_match(g);
+      }
+    }
+    // Cubed-sphere shell: trees are frusta between the inner and outer
+    // cube, half of them left-handed in their tree-local node order, so
+    // those elements are mirrored (x-bit swap) to a positive orientation.
+    const Forest f = half_refined(c, Connectivity::cubed_sphere_shell(), 1, 0.0);
+    const Mesh m = extract_mesh(c, f);
+    std::size_t non_affine = 0;
+    for (std::size_t e = 0; e < m.elements.size(); ++e) {
+      ElemGeom g = fem::element_geometry(m, f.connectivity(), e);
+      const auto edge = [&g](int i) {
+        fem::Vec3 d;
+        for (std::size_t k = 0; k < 3; ++k)
+          d[k] = g[static_cast<std::size_t>(i)][k] - g[0][k];
+        return d;
+      };
+      const fem::Vec3 a = edge(1), b = edge(2), n = edge(4);
+      const double orient = a[0] * (b[1] * n[2] - b[2] * n[1]) -
+                            a[1] * (b[0] * n[2] - b[2] * n[0]) +
+                            a[2] * (b[0] * n[1] - b[1] * n[0]);
+      if (orient < 0.0)
+        for (std::size_t i = 0; i < 8; i += 2) std::swap(g[i], g[i + 1]);
+      expect_weights_match(g);
+      const MappedQuad mq = fem::map_element(g);
+      if (mq.jxw[0] != mq.jxw[7]) ++non_affine;
+    }
+    EXPECT_EQ(non_affine, m.elements.size());
+  });
 }
 
 class FemRanks : public ::testing::TestWithParam<int> {};

@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
+#include "fem/operators.hpp"
+#include "forests.hpp"
 #include "octree/balance.hpp"
+#include "rhea/diagnostics.hpp"
 #include "rhea/simulation.hpp"
 #include "par/runtime.hpp"
 
 namespace {
 
 using namespace alps;
+using test_util::frustum;
+using test_util::half_refined;
 using forest::Connectivity;
 using par::Comm;
 using rhea::SimConfig;
@@ -185,5 +191,80 @@ TEST_P(RheaRanks, GoalOrientedAdaptationTracksGoalRegion) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, RheaRanks, ::testing::Values(1, 2));
+
+// ---- physics diagnostics ------------------------------------------------
+
+/// A 4-component velocity+pressure vector holding u(x) at every dof.
+std::vector<double> nodal_velocity(
+    const mesh::Mesh& m,
+    const std::function<std::array<double, 3>(const std::array<double, 3>&)>&
+        u) {
+  std::vector<double> sol(4 * static_cast<std::size_t>(m.n_local), 0.0);
+  for (std::size_t d = 0; d < static_cast<std::size_t>(m.n_local); ++d) {
+    const std::array<double, 3> v = u(m.dof_coords[d]);
+    for (std::size_t k = 0; k < 3; ++k) sol[4 * d + k] = v[k];
+  }
+  return sol;
+}
+
+class DiagnosticsRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(DiagnosticsRanks, ClosedFormsOnAdaptedUnitCube) {
+  alps::par::run(GetParam(), [](Comm& c) {
+    // T = 1 - z and u = (0, 0, 1) are trilinear, so hanging-node
+    // interpolation and 2x2x2 Gauss quadrature are exact: v_rms = 1,
+    // <T> = 1/2, <u_z T> = 1/2, so Nu = 1 + (1/2)/kappa.
+    const forest::Forest f = half_refined(c, Connectivity::unit_cube(), 2, 0.4);
+    const mesh::Mesh m = mesh::extract_mesh(c, f);
+    bool hanging = false;
+    for (const auto& corners : m.corners)
+      for (const mesh::Corner& cc : corners) hanging |= cc.n > 1;
+    EXPECT_TRUE(c.allreduce_or(hanging));
+
+    const std::vector<double> t = fem::interpolate(
+        m, [](const std::array<double, 3>& p) { return 1.0 - p[2]; });
+    const std::vector<double> sol = nodal_velocity(
+        m, [](const std::array<double, 3>&) {
+          return std::array<double, 3>{0.0, 0.0, 1.0};
+        });
+    const double kappa = 0.25;
+    const rhea::PhysicsDiagnostics d = rhea::compute_physics_diagnostics(
+        c, m, f.connectivity(), t, sol, kappa);
+    EXPECT_NEAR(d.v_rms, 1.0, 1e-13);
+    EXPECT_NEAR(d.t_mean, 0.5, 1e-13);
+    EXPECT_NEAR(d.nusselt, 1.0 + 0.5 / kappa, 1e-12);
+    EXPECT_EQ(d.t_min, 0.0);
+    EXPECT_EQ(d.t_max, 1.0);
+  });
+}
+
+TEST_P(DiagnosticsRanks, WeightsOverloadMatchesConnectivityOverloadBitwise) {
+  alps::par::run(GetParam(), [](Comm& c) {
+    for (Connectivity conn : {Connectivity::unit_cube(), frustum()}) {
+      const forest::Forest f = half_refined(c, conn, 2, 0.6);
+      const mesh::Mesh m = mesh::extract_mesh(c, f);
+      const std::vector<double> t = fem::interpolate(
+          m, [](const std::array<double, 3>& p) {
+            return std::sin(3.0 * p[0]) * p[1] + p[2] * p[2];
+          });
+      const std::vector<double> sol =
+          nodal_velocity(m, [](const std::array<double, 3>& p) {
+            return std::array<double, 3>{p[1], -p[0], p[0] * p[2]};
+          });
+      const rhea::PhysicsDiagnostics a = rhea::compute_physics_diagnostics(
+          c, m, f.connectivity(), t, sol, 0.5);
+      const rhea::PhysicsDiagnostics b = rhea::compute_physics_diagnostics(
+          c, m, fem::element_quad_weights(m, f.connectivity()), t, sol, 0.5);
+      EXPECT_EQ(a.nusselt, b.nusselt);
+      EXPECT_EQ(a.v_rms, b.v_rms);
+      EXPECT_EQ(a.t_min, b.t_min);
+      EXPECT_EQ(a.t_max, b.t_max);
+      EXPECT_EQ(a.t_mean, b.t_mean);
+      EXPECT_NE(a.v_rms, 0.0);
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, DiagnosticsRanks, ::testing::Values(1, 2, 4));
 
 }  // namespace

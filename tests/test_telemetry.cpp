@@ -383,7 +383,7 @@ TEST_F(TelemetryTest, StepReportAddsNoCollectivesBeyondPhysicsDiagnostics) {
   // One non-adapting step at P=2, telemetry off and then on. Everything
   // the record reports across ranks travels in the analysis exchange (a
   // size allgather plus one allgatherv), so telemetry adds exactly those
-  // two allgathers and the physics diagnostics' own allreduces.
+  // two allgathers and the physics diagnostics' one allreduce.
   obs::set_telemetry_path(temp_path("telemetry_collectives.jsonl"));
   constexpr int kRanks = 2;
   auto step_cost = [](bool telemetry, par::CommStats* diag) {
@@ -411,11 +411,58 @@ TEST_F(TelemetryTest, StepReportAddsNoCollectivesBeyondPhysicsDiagnostics) {
   const par::CommStats off = step_cost(false, nullptr);
   const par::CommStats on = step_cost(true, &diag);
   ASSERT_EQ(obs::telemetry_records(), records0 + 1);
-  // Per rank: stats count every participating rank once.
+  // Per rank: stats count every participating rank once. The diagnostics
+  // themselves make exactly one allreduce.
+  EXPECT_EQ(diag.allreduce_calls / kRanks, 1u);
   EXPECT_EQ((on.allreduce_calls - off.allreduce_calls) / kRanks,
             diag.allreduce_calls / kRanks);
   EXPECT_EQ((on.allgather_calls - off.allgather_calls) / kRanks,
             2 + diag.allgather_calls / kRanks);
+}
+
+TEST_F(TelemetryTest, DiagnosticsFollowEveryMeshChange) {
+  // The step report reads the physics diagnostics from quadrature weights
+  // cached per mesh. Across adaptations, including one that changes the
+  // mesh but keeps a rank's element count, each step's record must equal
+  // a fresh computation on the current mesh.
+  obs::set_telemetry_path(temp_path("telemetry_weights.jsonl"));
+  obs::set_telemetry(true);
+  par::run(2, [](par::Comm& c) {
+    rhea::SimConfig cfg = transport_config();
+    cfg.init_level = 3;
+    cfg.min_level = 2;
+    cfg.max_level = 4;
+    cfg.initial_adapt_rounds = 1;
+    cfg.adapt_every = 4;
+    rhea::Simulation sim(c, cfg);
+    sim.initialize([](const std::array<double, 3>& p) {
+      const double dx = p[0] - 0.35, dy = p[1] - 0.5, dz = p[2] - 0.5;
+      return std::exp(-60.0 * (dx * dx + dy * dy + dz * dz));
+    });
+    bool same_count_new_mesh = false;
+    for (int s = 0; s < 16; ++s) {
+      const std::vector<octree::Octant> before = sim.forest().tree().leaves();
+      sim.run(1);
+      const std::vector<octree::Octant>& after = sim.forest().tree().leaves();
+      same_count_new_mesh |= after.size() == before.size() && after != before;
+      const rhea::PhysicsDiagnostics d = rhea::compute_physics_diagnostics(
+          c, sim.mesh(), sim.forest().connectivity(), sim.temperature(),
+          sim.solution(), cfg.energy.kappa);
+      if (c.rank() != 0) continue;
+      obs::TelemetryRecord fresh;
+      fresh.field("nusselt", d.nusselt)
+          .field("v_rms", d.v_rms)
+          .field("t_min", d.t_min)
+          .field("t_max", d.t_max)
+          .field("t_mean", d.t_mean);
+      const std::string line = obs::telemetry_tail().back();
+      EXPECT_EQ(json_int(line, "step"), s + 1);
+      EXPECT_NE(line.find(fresh.str()), std::string::npos)
+          << "step " << s + 1 << ": " << fresh.str();
+    }
+    EXPECT_EQ(sim.adapt_history().size(), 3u);
+    EXPECT_TRUE(c.allreduce_or(same_count_new_mesh));
+  });
 }
 
 TEST_F(TelemetryTest, SolverFieldsCoverOnlyThisStepsSolve) {
