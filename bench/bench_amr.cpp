@@ -16,6 +16,7 @@
 
 #include "bench_common.hpp"
 #include "mesh/ghost.hpp"
+#include "oracles/oracles.hpp"
 #include "rhea/simulation.hpp"
 
 using namespace alps;
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
       for (int r = 0; r < reps; ++r) {
         best_ref = std::min(
             best_ref, timed(c, [&] {
-              mesh::Mesh m = mesh::extract_mesh_reference(c, f, ghosts);
+              mesh::Mesh m = oracle::extract_mesh_reference(c, f, ghosts);
             }));
         best_hashed = std::min(best_hashed, timed(c, [&] {
                                  prev = mesh::extract_mesh(c, f, ghosts);

@@ -1,6 +1,6 @@
 // Matrix-free apply hot path: lane-batched SoA element kernels with
 // comm-compute overlap (ElementOperator::apply) versus the scalar
-// reference path (apply_scalar), reported as nanoseconds per element on a
+// reference path (oracle::apply_scalar), reported as nanoseconds per element on a
 // level-4 adapted mesh. Also verifies the reduced-synchronization Krylov
 // loops: CG and MINRES must issue at most 2 global reductions per
 // iteration (comm.sync.* obs counters) and the fused multi-value
@@ -21,6 +21,7 @@
 #include "fem/operators.hpp"
 #include "la/krylov.hpp"
 #include "obs/obs.hpp"
+#include "oracles/oracles.hpp"
 
 using namespace alps;
 
@@ -143,7 +144,7 @@ int main(int argc, char** argv) {
       const int reps =
           std::max(10, static_cast<int>(2'000'000 / (n_elem * ncomp)));
       std::tie(t_scalar, t_batched) = time_pair(
-          [&] { op.apply_scalar(c, x, y); }, [&] { op.apply(c, x, y); },
+          [&] { oracle::apply_scalar(c, op, x, y); }, [&] { op.apply(c, x, y); },
           reps, 5);
       n_boundary = static_cast<std::int64_t>(op.boundary_elements());
       // Hardware-counter pass, separate from the timing loop: the two

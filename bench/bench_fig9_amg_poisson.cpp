@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "amg/amg.hpp"
 #include "amg/dist_amg.hpp"
 #include "bench_common.hpp"
 #include "fem/operators.hpp"
@@ -31,7 +30,9 @@ double now_s() {
       .count();
 }
 
-la::Csr laplace_7pt(std::int64_t n) {
+/// The 7-point Laplacian on an n^3 grid as an owned-row matrix. This rank
+/// contributes every row, so call it on a 1-rank communicator.
+la::DistCsr laplace_7pt(par::Comm& c, std::int64_t n) {
   const auto id = [n](std::int64_t i, std::int64_t j, std::int64_t k) {
     return (k * n + j) * n + i;
   };
@@ -54,7 +55,8 @@ la::Csr laplace_7pt(std::int64_t n) {
         add(i, j, k + 1);
         t.push_back({r, r, diag});
       }
-  return la::Csr::from_triplets(n * n * n, n * n * n, std::move(t));
+  const auto off = la::DistCsr::uniform_offsets(c.size(), n * n * n);
+  return la::DistCsr::from_triplets(c, off, off, std::move(t));
 }
 
 fem::ElementOperator poisson_operator(const forest::Forest& f,
@@ -74,11 +76,13 @@ struct Cost {
   double op_complexity = 0;
 };
 
-Cost run_case(la::Csr a) {
+/// Setup plus 160 V-cycles of the hierarchy on a 1-rank communicator,
+/// where it holds every level: the replicated baseline.
+Cost run_case(par::Comm& comm, la::DistCsr a) {
   Cost c;
-  c.n = a.rows();
+  c.n = a.global_rows();
   double t0 = now_s();
-  amg::Amg amg(std::move(a), {});
+  amg::DistAmg amg(comm, std::move(a), {});
   c.setup = now_s() - t0;
   c.op_complexity = amg.operator_complexity();
   for (const amg::LevelStats& s : amg.level_stats()) c.hier_nnz += s.nnz;
@@ -87,7 +91,7 @@ Cost run_case(la::Csr a) {
   t0 = now_s();
   for (int k = 0; k < 160; ++k) {
     std::fill(x.begin(), x.end(), 0.0);
-    amg.vcycle(b, x);
+    amg.vcycle(comm, b, x);
   }
   c.cycles = now_s() - t0;
   return c;
@@ -133,7 +137,7 @@ int main() {
       bench::adapt_toward_point(c, f, {0.5, 0.5, 0.5}, 1, level + 1);
       mesh::Mesh m = mesh::extract_mesh(c, f);
       fem::ElementOperator op = poisson_operator(f, m);
-      fem_cost = run_case(op.assemble_global(c));
+      fem_cost = run_case(c, op.assemble_dist(c));
     });
     std::printf("%-34s %10lld %10.3f %12.3f %8.2f %14lld\n",
                 ("var-visc Poisson, octree L" + std::to_string(level) +
@@ -212,7 +216,10 @@ int main() {
     // (b) matched-size regular-grid 7-point Laplacian (serial reference).
     const std::int64_t side = static_cast<std::int64_t>(
         std::lround(std::cbrt(static_cast<double>(fem_cost.n))));
-    Cost lap = run_case(laplace_7pt(side));
+    Cost lap;
+    alps::par::run(1, [&](par::Comm& c) {
+      lap = run_case(c, laplace_7pt(c, side));
+    });
     std::printf("%-34s %10lld %10.3f %12.3f %8.2f %14lld\n",
                 ("7-point Laplace, " + std::to_string(side) + "^3 grid").c_str(),
                 static_cast<long long>(lap.n), lap.setup, lap.cycles,

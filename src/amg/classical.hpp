@@ -1,9 +1,9 @@
 #pragma once
-// Internal pieces of classical Ruge-Stüben coarsening shared by the
-// replicated (amg.cpp) and distributed (dist_amg.cpp) hierarchies. The
-// distributed setup runs the same greedy splitting on each rank's owned
-// subgraph (hypre-style per-processor coarsening), so at P = 1 both
-// hierarchies coincide exactly.
+// Internal piece of classical Ruge-Stüben coarsening: the greedy C/F
+// split, defined in dist_amg.cpp. The distributed setup runs it on each
+// rank's owned subgraph (hypre-style per-processor coarsening); the serial
+// hierarchy in tests/oracles/ runs it on the whole matrix, so at P = 1
+// both hierarchies coincide exactly.
 
 #include <cstdint>
 #include <vector>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <queue>
 #include <stdexcept>
 #include <string>
 
@@ -9,9 +10,76 @@
 #include "obs/histogram.hpp"
 #include "obs/hwcounters.hpp"
 #include "obs/obs.hpp"
-#include "obs/telemetry.hpp"
 
 namespace alps::amg {
+
+namespace detail {
+
+std::vector<CF> split_cf(const std::vector<std::vector<std::int64_t>>& strong) {
+  const std::int64_t n = static_cast<std::int64_t>(strong.size());
+  // Transpose: who strongly depends on i.
+  std::vector<std::vector<std::int64_t>> influenced(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t j : strong[static_cast<std::size_t>(i)])
+      influenced[static_cast<std::size_t>(j)].push_back(i);
+
+  std::vector<std::int64_t> measure(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i)
+    measure[static_cast<std::size_t>(i)] =
+        static_cast<std::int64_t>(influenced[static_cast<std::size_t>(i)].size());
+
+  std::vector<CF> cf(static_cast<std::size_t>(n), CF::kUndecided);
+  // Nodes with no strong connection in either direction — Dirichlet /
+  // identity rows and rows with only weak couplings — take no part in
+  // coarse-grid correction: preset them to F so they cannot accumulate as
+  // C points on every coarser level (which stalls coarsening with a large
+  // coarsest grid). Their interpolation row stays empty and relaxation
+  // resolves them.
+  for (std::int64_t i = 0; i < n; ++i)
+    if (strong[static_cast<std::size_t>(i)].empty() &&
+        influenced[static_cast<std::size_t>(i)].empty())
+      cf[static_cast<std::size_t>(i)] = CF::kFine;
+  using Entry = std::pair<std::int64_t, std::int64_t>;  // (measure, node)
+  std::priority_queue<Entry> heap;
+  for (std::int64_t i = 0; i < n; ++i)
+    heap.emplace(measure[static_cast<std::size_t>(i)], i);
+
+  while (!heap.empty()) {
+    const auto [m, i] = heap.top();
+    heap.pop();
+    if (cf[static_cast<std::size_t>(i)] != CF::kUndecided) continue;
+    if (m != measure[static_cast<std::size_t>(i)]) {
+      heap.emplace(measure[static_cast<std::size_t>(i)], i);  // stale entry
+      continue;
+    }
+    cf[static_cast<std::size_t>(i)] = CF::kCoarse;
+    for (std::int64_t j : influenced[static_cast<std::size_t>(i)]) {
+      if (cf[static_cast<std::size_t>(j)] != CF::kUndecided) continue;
+      cf[static_cast<std::size_t>(j)] = CF::kFine;
+      // New F point: strengthen its other dependencies toward C.
+      for (std::int64_t k : strong[static_cast<std::size_t>(j)])
+        if (cf[static_cast<std::size_t>(k)] == CF::kUndecided) {
+          measure[static_cast<std::size_t>(k)] += 1;
+          heap.emplace(measure[static_cast<std::size_t>(k)], k);
+        }
+    }
+  }
+  // Direct interpolation needs every F point to see a strong C neighbor.
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (cf[static_cast<std::size_t>(i)] != CF::kFine) continue;
+    bool has_c = false;
+    for (std::int64_t j : strong[static_cast<std::size_t>(i)])
+      if (cf[static_cast<std::size_t>(j)] == CF::kCoarse) {
+        has_c = true;
+        break;
+      }
+    if (!has_c && !strong[static_cast<std::size_t>(i)].empty())
+      cf[static_cast<std::size_t>(i)] = CF::kCoarse;
+  }
+  return cf;
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -795,30 +863,7 @@ void DistAmg::vcycle(par::Comm& comm, std::span<const double> b,
 
 void DistAmg::solve(par::Comm& comm, std::span<const double> b,
                     std::span<double> x, int cycles) const {
-  if (!opt_.track_convergence) {
-    for (int c = 0; c < cycles; ++c) vcycle(comm, b, x);
-    return;
-  }
-  const la::DistCsr& a = finest();
-  std::vector<double> res(static_cast<std::size_t>(a.owned_rows()));
-  const auto residual_norm = [&] {
-    a.matvec(comm, x, res);
-    double local = 0.0;
-    for (std::size_t i = 0; i < res.size(); ++i) {
-      const double r = b[i] - res[i];
-      local += r * r;
-    }
-    return std::sqrt(comm.allreduce_sum(local));
-  };
-  factors_.clear();
-  double prev = residual_norm();
-  for (int c = 0; c < cycles; ++c) {
-    vcycle(comm, b, x);
-    const double cur = residual_norm();
-    factors_.push_back(prev > 0.0 ? cur / prev : 0.0);
-    prev = cur;
-  }
-  if (comm.rank() == 0) obs::record_history("amg.solve.factors", factors_);
+  for (int c = 0; c < cycles; ++c) vcycle(comm, b, x);
 }
 
 std::int64_t DistAmg::local_nnz() const {

@@ -3,8 +3,9 @@
 // the BoomerAMG role). Setup and solve are both O(N_local) per rank:
 //
 //  - strength of connection and C/F splitting run on each rank's owned
-//    subgraph (hypre-style per-processor classical coarsening, identical
-//    to the replicated hierarchy at P = 1),
+//    subgraph (hypre-style per-processor classical coarsening; at P = 1
+//    it is the serial Ruge-Stüben algorithm, which the replicated
+//    hierarchy in tests/oracles/ checks exactly),
 //  - direct interpolation may pull from ghost C points, whose coarse ids
 //    arrive through the matrix's ghost-exchange plan; strong-neighbor
 //    membership is tested through epoch-stamped marks (O(1) per entry),
@@ -26,14 +27,45 @@
 #include <memory>
 #include <vector>
 
-#include "amg/amg.hpp"
 #include "la/dist_csr.hpp"
 
 namespace alps::amg {
 
+/// Smoother choice. Hybrid Gauss-Seidel is the sequential-sweep default;
+/// Chebyshev is a polynomial in D^{-1}A whose only communication is the
+/// ghost-exchange matvec, so its application has no rank-order dependence.
+enum class Smoother {
+  kHybridGS,
+  kChebyshev,
+};
+
+struct AmgOptions {
+  double strength_theta = 0.25;  // classical strength threshold
+  int max_levels = 25;
+  std::int64_t coarse_size = 64;  // direct solve at or below this
+  int pre_smooth = 1;
+  int post_smooth = 1;
+  Smoother smoother = Smoother::kHybridGS;
+  /// Chebyshev polynomial degree (matvecs per smoother application).
+  int cheby_degree = 3;
+  /// Power-iteration steps for the spectral-radius estimate of D^{-1}A.
+  int cheby_power_its = 10;
+  /// Smoothing interval [cheby_lower * rho, cheby_upper * rho] around the
+  /// estimated spectral radius rho; the upper safety factor absorbs the
+  /// power-iteration underestimate.
+  double cheby_lower = 0.30;
+  double cheby_upper = 1.10;
+};
+
+/// Global size of one grid level.
+struct LevelStats {
+  std::int64_t n = 0;
+  std::int64_t nnz = 0;
+};
+
 class DistAmg {
  public:
-  /// Setup phase; collective. Reuses AmgOptions from the replicated Amg.
+  /// Setup phase; collective.
   DistAmg(par::Comm& comm, la::DistCsr a, const AmgOptions& opt = {});
 
   /// Pattern-preserving numeric rebuild: replace the finest operator with
@@ -49,14 +81,8 @@ class DistAmg {
               std::span<double> x) const;
 
   /// Run `cycles` V-cycles, keeping x as the running iterate. Collective.
-  /// With opt.track_convergence the per-cycle global residual contraction
-  /// factors are recorded (one extra matvec + allreduce per cycle).
   void solve(par::Comm& comm, std::span<const double> b, std::span<double> x,
              int cycles) const;
-
-  /// ||r_k|| / ||r_{k-1}|| per V-cycle of the last tracked solve();
-  /// empty unless opt.track_convergence was set. Identical on all ranks.
-  const std::vector<double>& convergence_factors() const { return factors_; }
 
   int num_levels() const { return static_cast<int>(stats_.size()); }
   const std::vector<LevelStats>& level_stats() const { return stats_; }
@@ -169,7 +195,6 @@ class DistAmg {
   std::vector<LevelStats> stats_;     // global n / nnz per level
   std::vector<std::int64_t> local_nnz_per_level_;
   mutable std::vector<double> coarse_b_, coarse_x_;  // replicated scratch
-  mutable std::vector<double> factors_;              // last tracked solve()
 };
 
 inline DistAmg::MemoryBytes DistAmg::memory_bytes() const {
@@ -199,8 +224,7 @@ inline DistAmg::MemoryBytes DistAmg::memory_bytes() const {
   m.operators += coarse_dist_.memory_bytes();
   m.coarse += coarse_a_.memory_bytes();
   if (coarse_) m.coarse += coarse_->memory_bytes();
-  m.scratch += vec_bytes(coarse_b_) + vec_bytes(coarse_x_) +
-               vec_bytes(factors_);
+  m.scratch += vec_bytes(coarse_b_) + vec_bytes(coarse_x_);
   return m;
 }
 

@@ -8,71 +8,6 @@
 
 namespace alps::fem {
 
-// ---- scalar reference path ----------------------------------------------
-
-void ElementOperator::gather_element(std::size_t e, std::span<const double> x,
-                                     std::span<double> xe) const {
-  const std::size_t nc = static_cast<std::size_t>(ncomp_);
-  for (int i = 0; i < 8; ++i) {
-    const mesh::Corner& cc = mesh_->corners[e][static_cast<std::size_t>(i)];
-    for (std::size_t c = 0; c < nc; ++c) {
-      double v = 0.0;
-      for (int k = 0; k < cc.n; ++k)
-        v += cc.w[static_cast<std::size_t>(k)] *
-             x[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]) * nc + c];
-      xe[static_cast<std::size_t>(i) * nc + c] = v;
-    }
-  }
-}
-
-void ElementOperator::scatter_element(std::size_t e, std::span<const double> ye,
-                                      std::span<double> y) const {
-  const std::size_t nc = static_cast<std::size_t>(ncomp_);
-  for (int i = 0; i < 8; ++i) {
-    const mesh::Corner& cc = mesh_->corners[e][static_cast<std::size_t>(i)];
-    for (std::size_t c = 0; c < nc; ++c) {
-      const double v = ye[static_cast<std::size_t>(i) * nc + c];
-      for (int k = 0; k < cc.n; ++k)
-        y[static_cast<std::size_t>(cc.dof[static_cast<std::size_t>(k)]) * nc + c] +=
-            cc.w[static_cast<std::size_t>(k)] * v;
-    }
-  }
-}
-
-void ElementOperator::apply_raw_scalar(par::Comm& comm,
-                                       std::span<const double> x,
-                                       std::span<double> y) const {
-  const std::size_t bs = block_size();
-  std::fill(y.begin(), y.end(), 0.0);
-  work_xe_.resize(bs);
-  work_ye_.resize(bs);
-  std::span<double> xe(work_xe_.data(), bs), ye(work_ye_.data(), bs);
-  for (std::size_t e = 0; e < mesh_->elements.size(); ++e) {
-    gather_element(e, x, xe);
-    const std::span<const double> m = element_matrix(e);
-    for (std::size_t i = 0; i < bs; ++i) {
-      double s = 0.0;
-      for (std::size_t j = 0; j < bs; ++j) s += m[i * bs + j] * xe[j];
-      ye[i] = s;
-    }
-    scatter_element(e, ye, y);
-  }
-  mesh_->accumulate(comm, y, ncomp_);
-  mesh_->exchange(comm, y, ncomp_);
-}
-
-void ElementOperator::apply_scalar(par::Comm& comm, std::span<const double> x,
-                                   std::span<double> y) const {
-  // Zero constrained inputs, apply, then restore identity on them. The
-  // masked copy lives in a reused member workspace.
-  work_x_.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    work_x_[i] = dirichlet_[i] ? 0.0 : x[i];
-  apply_raw_scalar(comm, work_x_, y);
-  for (std::size_t i = 0; i < y.size(); ++i)
-    if (dirichlet_[i]) y[i] = x[i];
-}
-
 // ---- lane-batched SoA plan ----------------------------------------------
 
 namespace {
@@ -491,12 +426,6 @@ la::DistCsr ElementOperator::assemble_dist(par::Comm& comm) const {
   std::vector<std::int64_t> offsets(starts.begin(), starts.end());
   offsets.push_back(mesh_->n_global * ncomp_);
   return la::DistCsr::from_triplets(comm, offsets, offsets, local_triplets());
-}
-
-la::Csr ElementOperator::assemble_global(par::Comm& comm) const {
-  const std::int64_t n = mesh_->n_global * ncomp_;
-  std::vector<la::Triplet> all = comm.allgatherv(local_triplets());
-  return la::Csr::from_triplets(n, n, std::move(all));
 }
 
 }  // namespace alps::fem

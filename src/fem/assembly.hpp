@@ -13,9 +13,8 @@
 // vectorizes across lanes without FP reassociation. apply() computes the
 // boundary elements first, posts the ghost accumulate, and streams the
 // interior elements while the neighbor messages are in flight
-// (mesh::accumulate_start/finish). The original scalar path is kept as
-// apply_scalar()/apply_raw_scalar() — the parity reference and the
-// bench_apply baseline.
+// (mesh::accumulate_start/finish). The original scalar apply lives in
+// tests/oracles/ as the parity reference and the bench_apply baseline.
 //
 // Multi-component fields use node-major layout: value index =
 // local_dof * ncomp + component.
@@ -78,15 +77,6 @@ class ElementOperator {
   void apply_raw(par::Comm& comm, std::span<const double> x,
                  std::span<double> y) const;
 
-  /// Scalar reference paths: per-element Corner gathers, the O(n)
-  /// Dirichlet masking pass, and a blocking post-loop halo. Bitwise the
-  /// same math as the pre-batching implementation — kept as the parity
-  /// oracle for tests and the ns/element baseline for bench_apply.
-  void apply_scalar(par::Comm& comm, std::span<const double> x,
-                    std::span<double> y) const;
-  void apply_raw_scalar(par::Comm& comm, std::span<const double> x,
-                        std::span<double> y) const;
-
   /// Globally-consistent inner product over owned values (blocked
   /// pairwise summation + one allreduce).
   double dot(par::Comm& comm, std::span<const double> a,
@@ -109,11 +99,10 @@ class ElementOperator {
   /// Collective.
   la::DistCsr assemble_dist(par::Comm& comm) const;
 
-  /// Gather the fully-assembled global matrix (with identity Dirichlet
-  /// rows) on every rank. O(N_global) per rank: kept only as the
-  /// replicated reference for tests and bench baselines — the solvers use
-  /// assemble_dist. Collective.
-  la::Csr assemble_global(par::Comm& comm) const;
+  /// This rank's contributions to the assembled matrix, in global value
+  /// ids: constrained element blocks plus identity rows for owned
+  /// Dirichlet values. Duplicates are summed by the consumer.
+  std::vector<la::Triplet> local_triplets() const;
 
   /// Adapters for the Krylov drivers.
   la::LinOp as_linop(par::Comm& comm) const {
@@ -163,18 +152,11 @@ class ElementOperator {
     return vec_bytes(mats_) + vec_bytes(dirichlet_) + vec_bytes(plan_.mats) +
            vec_bytes(plan_.gbase) + vec_bytes(plan_.w_raw) +
            vec_bytes(plan_.w_bc) + vec_bytes(plan_.slots) +
-           vec_bytes(plan_.owned_dirichlet) + vec_bytes(work_x_) +
-           vec_bytes(work_ax_) + vec_bytes(work_xe_) + vec_bytes(work_ye_);
+           vec_bytes(plan_.owned_dirichlet) + vec_bytes(work_ax_) +
+           vec_bytes(work_xe_) + vec_bytes(work_ye_);
   }
 
  private:
-  void gather_element(std::size_t e, std::span<const double> x,
-                      std::span<double> xe) const;
-  void scatter_element(std::size_t e, std::span<const double> ye,
-                       std::span<double> y) const;
-
-  std::vector<la::Triplet> local_triplets() const;
-
   void ensure_plan() const;
   void build_plan() const;
   /// Gather + lane-batched matvec + scatter for batches [b0, b1), using
@@ -220,7 +202,7 @@ class ElementOperator {
 
   // Hot-path workspaces (mutable: apply/lift_bcs are logically const and
   // run every MINRES iteration — no per-application allocations).
-  mutable std::vector<double> work_x_, work_ax_, work_xe_, work_ye_;
+  mutable std::vector<double> work_ax_, work_xe_, work_ye_;
 };
 
 }  // namespace alps::fem

@@ -67,55 +67,6 @@ std::vector<double> Csr::diagonal() const {
   return d;
 }
 
-Csr Csr::transpose() const {
-  std::vector<Triplet> t;
-  t.reserve(val_.size());
-  for (std::int64_t r = 0; r < nrows_; ++r)
-    for (std::int64_t k = rowptr_[static_cast<std::size_t>(r)];
-         k < rowptr_[static_cast<std::size_t>(r) + 1]; ++k)
-      t.push_back(Triplet{colidx_[static_cast<std::size_t>(k)], r,
-                          val_[static_cast<std::size_t>(k)]});
-  return from_triplets(ncols_, nrows_, std::move(t));
-}
-
-Csr Csr::multiply(const Csr& a, const Csr& b) {
-  if (a.ncols_ != b.nrows_)
-    throw std::invalid_argument("Csr::multiply: dimension mismatch");
-  // Row-by-row with a dense accumulator (sized to b.cols); fine for the
-  // moderate bandwidths of FEM and AMG matrices.
-  std::vector<double> acc(static_cast<std::size_t>(b.ncols_), 0.0);
-  std::vector<std::int64_t> marker(static_cast<std::size_t>(b.ncols_), -1);
-  Csr c(a.nrows_, b.ncols_);
-  std::vector<std::int64_t> cols_in_row;
-  for (std::int64_t r = 0; r < a.nrows_; ++r) {
-    cols_in_row.clear();
-    for (std::int64_t ka = a.rowptr_[static_cast<std::size_t>(r)];
-         ka < a.rowptr_[static_cast<std::size_t>(r) + 1]; ++ka) {
-      const std::int64_t j = a.colidx_[static_cast<std::size_t>(ka)];
-      const double av = a.val_[static_cast<std::size_t>(ka)];
-      for (std::int64_t kb = b.rowptr_[static_cast<std::size_t>(j)];
-           kb < b.rowptr_[static_cast<std::size_t>(j) + 1]; ++kb) {
-        const std::int64_t col = b.colidx_[static_cast<std::size_t>(kb)];
-        if (marker[static_cast<std::size_t>(col)] != r) {
-          marker[static_cast<std::size_t>(col)] = r;
-          acc[static_cast<std::size_t>(col)] = 0.0;
-          cols_in_row.push_back(col);
-        }
-        acc[static_cast<std::size_t>(col)] +=
-            av * b.val_[static_cast<std::size_t>(kb)];
-      }
-    }
-    std::sort(cols_in_row.begin(), cols_in_row.end());
-    for (std::int64_t col : cols_in_row) {
-      c.colidx_.push_back(col);
-      c.val_.push_back(acc[static_cast<std::size_t>(col)]);
-    }
-    c.rowptr_[static_cast<std::size_t>(r) + 1] =
-        static_cast<std::int64_t>(c.val_.size());
-  }
-  return c;
-}
-
 DenseLu::DenseLu(const Csr& a) : n_(a.rows()) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("DenseLu: matrix must be square");

@@ -44,11 +44,6 @@ class Csr {
   /// Diagonal entries (0 where structurally absent).
   std::vector<double> diagonal() const;
 
-  Csr transpose() const;
-
-  /// C = A * B (sparse-sparse product).
-  static Csr multiply(const Csr& a, const Csr& b);
-
   /// Heap bytes held (capacity-based; see obs::vec_bytes).
   std::uint64_t memory_bytes() const {
     return obs::vec_bytes(rowptr_) + obs::vec_bytes(colidx_) +

@@ -182,13 +182,6 @@ Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest);
 Mesh extract_mesh(par::Comm& comm, const forest::Forest& forest,
                   std::vector<Octant> ghosts);
 
-/// The original per-corner extraction, kept verbatim as the parity oracle
-/// for the hashed and incremental paths (tests/test_extract.cpp compares
-/// gids, constraint weights, and halo plans bit for bit). Collective.
-Mesh extract_mesh_reference(par::Comm& comm, const forest::Forest& forest);
-Mesh extract_mesh_reference(par::Comm& comm, const forest::Forest& forest,
-                            std::vector<Octant> ghosts);
-
 /// Re-extract after a local adaptation, reusing the corner constraints of
 /// every element whose corner neighborhood is untouched (Correspondence-
 /// driven; typically the vast majority when a thin front adapts). Falls
@@ -203,5 +196,18 @@ Mesh extract_mesh_incremental(par::Comm& comm, const forest::Forest& forest,
 /// representation and a bitmask of the physical boundary faces it lies on.
 std::pair<NodeKey, std::uint8_t> canonical_node(const forest::Connectivity& conn,
                                                 const NodeKey& node);
+
+namespace detail {
+
+/// Node primitives the extraction paths share with the per-corner parity
+/// oracle in tests/oracles/. node_reps lists every representation of
+/// `node` across glued tree faces (BFS) plus the physical-boundary face
+/// mask; node_owner is the rank owning the region just below a canonical
+/// node along the space-filling curve.
+void node_reps(const forest::Connectivity& conn, const NodeKey& node,
+               std::vector<NodeKey>& reps, std::uint8_t& boundary_mask);
+int node_owner(const octree::LinearOctree& tree, const NodeKey& v);
+
+}  // namespace detail
 
 }  // namespace alps::mesh

@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "amg/amg.hpp"
 #include "dg/advect.hpp"
 #include "energy/energy.hpp"
 #include "fem/operators.hpp"

@@ -10,11 +10,12 @@
 #include <cmath>
 #include <random>
 
-#include "amg/amg.hpp"
 #include "amg/dist_amg.hpp"
 #include "fem/operators.hpp"
 #include "la/dist_csr.hpp"
 #include "la/krylov.hpp"
+#include "matrices.hpp"
+#include "oracles/oracles.hpp"
 #include "par/runtime.hpp"
 
 namespace {
@@ -24,50 +25,10 @@ using la::Csr;
 using la::DistCsr;
 using la::Triplet;
 using par::Comm;
-
-// 3D 7-point Laplacian with Dirichlet-eliminated boundary (mirrors the
-// builder in test_amg.cpp).
-Csr laplace_3d(std::int64_t n, double coeff_jump = 1.0) {
-  const auto id = [n](std::int64_t i, std::int64_t j, std::int64_t k) {
-    return (k * n + j) * n + i;
-  };
-  std::vector<Triplet> t;
-  for (std::int64_t k = 0; k < n; ++k)
-    for (std::int64_t j = 0; j < n; ++j)
-      for (std::int64_t i = 0; i < n; ++i) {
-        const double c = (i < n / 2) ? 1.0 : coeff_jump;
-        const std::int64_t r = id(i, j, k);
-        double diag = 0.0;
-        const auto add = [&](std::int64_t ii, std::int64_t jj, std::int64_t kk) {
-          if (ii < 0 || jj < 0 || kk < 0 || ii >= n || jj >= n || kk >= n) {
-            diag += c;
-            return;
-          }
-          const double cc = (ii < n / 2) ? 1.0 : coeff_jump;
-          const double h = 0.5 * (c + cc);
-          t.push_back({r, id(ii, jj, kk), -h});
-          diag += h;
-        };
-        add(i - 1, j, k);
-        add(i + 1, j, k);
-        add(i, j - 1, k);
-        add(i, j + 1, k);
-        add(i, j, k - 1);
-        add(i, j, k + 1);
-        t.push_back({r, r, diag});
-      }
-  return Csr::from_triplets(n * n * n, n * n * n, std::move(t));
-}
-
-std::vector<Triplet> to_triplets(const Csr& a) {
-  std::vector<Triplet> t;
-  for (std::int64_t r = 0; r < a.rows(); ++r)
-    for (std::int64_t k = a.rowptr()[static_cast<std::size_t>(r)];
-         k < a.rowptr()[static_cast<std::size_t>(r) + 1]; ++k)
-      t.push_back({r, a.colidx()[static_cast<std::size_t>(k)],
-                   a.values()[static_cast<std::size_t>(k)]});
-  return t;
-}
+using test_util::dist_residual_norm;
+using test_util::distribute;
+using test_util::laplace_3d;
+using test_util::to_triplets;
 
 // Random monotone partition of [0, n) into `p` (possibly empty) ranges;
 // deterministic, so every rank computes the same offsets.
@@ -213,7 +174,7 @@ TEST(DistAssembly, DistributedMatrixMatchesReplicatedAssembly) {
     fem::ElementOperator op = fem::build_scalar_laplace(
         m, f.connectivity(),
         [](const std::array<double, 3>& p) { return 1.0 + p[0]; }, 0b111111);
-    const Csr ref = op.assemble_global(c);
+    const Csr ref = oracle::assemble_global(c, op);
     const DistCsr dist = op.assemble_dist(c);
     EXPECT_EQ(dist.global_rows(), ref.rows());
     EXPECT_LT(dist.local_nnz(), ref.nnz());  // each rank holds a strict part
@@ -226,25 +187,9 @@ TEST(DistAssembly, DistributedMatrixMatchesReplicatedAssembly) {
   });
 }
 
-double dist_residual_norm(Comm& c, const DistCsr& a, std::span<const double> b,
-                          std::span<const double> x) {
-  std::vector<double> ax(static_cast<std::size_t>(a.owned_rows()));
-  a.matvec(c, x, ax);
-  double s = 0;
-  for (std::size_t i = 0; i < ax.size(); ++i)
-    s += (b[i] - ax[i]) * (b[i] - ax[i]);
-  return std::sqrt(c.allreduce_sum(s));
-}
-
 TEST(DistAmg, VcycleContractsErrorAcrossRanks) {
   alps::par::run(4, [](Comm& c) {
-    const Csr ref = laplace_3d(10);
-    const auto off = DistCsr::uniform_offsets(c.size(), ref.rows());
-    std::vector<Triplet> mine;
-    const std::vector<Triplet> all = to_triplets(ref);
-    for (const Triplet& t : all)
-      if (la::owner_of(off, t.row) == c.rank()) mine.push_back(t);
-    DistCsr a = DistCsr::from_triplets(c, off, off, std::move(mine));
+    DistCsr a = distribute(c, laplace_3d(10));
     const std::int64_t nown = a.owned_rows();
     amg::DistAmg amg(c, std::move(a), {});
     EXPECT_GE(amg.num_levels(), 3);
@@ -267,7 +212,7 @@ TEST(DistAmg, VcycleContractsErrorAcrossRanks) {
 
 // AMG-preconditioned CG iteration count for the replicated hierarchy.
 int serial_pcg_iterations(const Csr& a) {
-  amg::Amg amg(a, {});
+  const oracle::Amg amg(a);
   la::LinOp op = [&a](std::span<const double> x, std::span<double> y) {
     a.matvec(x, y);
   };
@@ -295,11 +240,7 @@ TEST(DistAmg, PcgIterationsMatchReplicatedHierarchyWithinTwo) {
   const int serial_iters = serial_pcg_iterations(ref);
   for (int p : {1, 3, 4}) {
     alps::par::run(p, [&ref, serial_iters](Comm& c) {
-      const auto off = DistCsr::uniform_offsets(c.size(), ref.rows());
-      std::vector<Triplet> mine;
-      for (const Triplet& t : to_triplets(ref))
-        if (la::owner_of(off, t.row) == c.rank()) mine.push_back(t);
-      DistCsr a = DistCsr::from_triplets(c, off, off, std::move(mine));
+      DistCsr a = distribute(c, ref);
       const std::int64_t nown = a.owned_rows();
       amg::DistAmg amg(c, std::move(a), {});
       const DistCsr& fine = amg.finest();
@@ -335,12 +276,7 @@ TEST(DistAmg, PcgIterationsMatchReplicatedHierarchyWithinTwo) {
 
 TEST(DistAmg, HandlesStrongCoefficientJumpsAcrossRanks) {
   alps::par::run(3, [](Comm& c) {
-    const Csr ref = laplace_3d(10, 1e5);
-    const auto off = DistCsr::uniform_offsets(c.size(), ref.rows());
-    std::vector<Triplet> mine;
-    for (const Triplet& t : to_triplets(ref))
-      if (la::owner_of(off, t.row) == c.rank()) mine.push_back(t);
-    DistCsr a = DistCsr::from_triplets(c, off, off, std::move(mine));
+    DistCsr a = distribute(c, laplace_3d(10, 1e5));
     const std::int64_t nown = a.owned_rows();
     amg::DistAmg amg(c, std::move(a), {});
     const DistCsr& fine = amg.finest();

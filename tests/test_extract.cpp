@@ -13,6 +13,7 @@
 
 #include "mesh/ghost.hpp"
 #include "mesh/mesh.hpp"
+#include "oracles/oracles.hpp"
 #include "par/runtime.hpp"
 
 namespace {
@@ -25,6 +26,7 @@ using alps::octree::coord_t;
 using alps::octree::kMaxLevel;
 using alps::octree::octant_len;
 using alps::octree::Octant;
+using alps::oracle::extract_mesh_reference;
 using alps::par::Comm;
 
 // Every field that defines the mesh contract, compared exactly (doubles

@@ -5,9 +5,10 @@
 
 #include <cmath>
 
-#include "amg/amg.hpp"
+#include "amg/dist_amg.hpp"
 #include "fem/operators.hpp"
 #include "forests.hpp"
+#include "oracles/oracles.hpp"
 #include "par/runtime.hpp"
 
 namespace {
@@ -266,7 +267,7 @@ TEST_P(FemRanks, DistributedApplyMatchesGatheredMatrix) {
     ElementOperator op = fem::build_scalar_laplace(
         m, f.connectivity(),
         [](const std::array<double, 3>& p) { return 1.0 + p[0]; }, 0b000011);
-    la::Csr global = op.assemble_global(c);
+    la::Csr global = oracle::assemble_global(c, op);
     EXPECT_EQ(global.rows(), m.n_global);
 
     // Random-but-deterministic global vector.
@@ -310,25 +311,14 @@ TEST_P(FemRanks, AmgPreconditionedCgOnAdaptedVariableViscosity) {
         m, f.connectivity(),
         [](const std::array<double, 3>& p) { return p[2] > 0.5 ? 1e4 : 1.0; },
         0b111111);
-    la::Csr global = op.assemble_global(c);
-    amg::Amg amg(global, {});
-    la::LinOp pre = [&amg, &m](std::span<const double> x, std::span<double> y) {
-      // Scatter to global, V-cycle, gather back: the serial-AMG stand-in.
-      std::vector<double> xg(static_cast<std::size_t>(m.n_global), 0.0);
-      for (std::int64_t i = 0; i < m.n_owned; ++i)
-        xg[static_cast<std::size_t>(m.dof_gids[static_cast<std::size_t>(i)])] =
-            x[static_cast<std::size_t>(i)];
-      std::vector<double> yg(static_cast<std::size_t>(m.n_global), 0.0);
-      // NOTE: single-rank only shortcut in this test (values complete).
-      std::vector<double> tmp = xg;
-      (void)tmp;
-      std::fill(yg.begin(), yg.end(), 0.0);
-      amg.vcycle(xg, yg);
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(y.size()); ++i)
-        y[static_cast<std::size_t>(i)] =
-            yg[static_cast<std::size_t>(m.dof_gids[static_cast<std::size_t>(i)])];
+    const amg::DistAmg amg(c, op.assemble_dist(c));
+    const std::size_t nown = static_cast<std::size_t>(m.n_owned);
+    la::LinOp pre = [&](std::span<const double> x, std::span<double> y) {
+      // V-cycle on the owned rows, then make the ghosts consistent.
+      std::fill(y.begin(), y.end(), 0.0);
+      amg.vcycle(c, x.first(nown), y.first(nown));
+      m.exchange(c, y);
     };
-    if (c.size() > 1) return;  // the shortcut above is serial-only
     std::vector<double> b(static_cast<std::size_t>(m.n_local), 1.0);
     for (std::int64_t i = 0; i < m.n_local; ++i)
       if (m.dof_boundary[static_cast<std::size_t>(i)]) b[static_cast<std::size_t>(i)] = 0.0;

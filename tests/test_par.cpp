@@ -72,6 +72,19 @@ TEST_P(ParRanks, PointToPointRing) {
   });
 }
 
+TEST_P(ParRanks, ZeroLengthMessageRoundTrips) {
+  alps::par::run(GetParam(), [](Comm& c) {
+    const int next = (c.rank() + 1) % c.size();
+    const int prev = (c.rank() + c.size() - 1) % c.size();
+    c.send(next, 9, std::vector<double>{});
+    c.send(next, 9, std::vector<double>{0.5 * c.rank()});
+    EXPECT_TRUE(c.recv<double>(prev, 9).empty());
+    const std::vector<double> got = c.recv<double>(prev, 9);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_DOUBLE_EQ(got[0], 0.5 * prev);
+  });
+}
+
 TEST_P(ParRanks, TagMatchingReordersMessages) {
   alps::par::run(GetParam(), [](Comm& c) {
     if (c.size() < 2) return;

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "amg/amg.hpp"
 #include "la/csr.hpp"
 #include "la/krylov.hpp"
 #include "obs/analysis.hpp"
@@ -261,28 +260,6 @@ TEST_F(TelemetryTest, StatusTokensAreStable) {
   EXPECT_STREQ(la::to_string(la::SolveStatus::kStagnated), "stagnated");
   EXPECT_STREQ(la::to_string(la::SolveStatus::kDiverged), "diverged");
   EXPECT_STREQ(la::to_string(la::SolveStatus::kNonFinite), "non_finite");
-}
-
-// ---- AMG convergence factors ------------------------------------------
-
-TEST_F(TelemetryTest, AmgSolveTracksConvergenceFactors) {
-  amg::AmgOptions opt;
-  opt.track_convergence = true;
-  amg::Amg solver(laplace_1d(400), opt);
-  const std::vector<double> b(400, 1.0);
-  std::vector<double> x(400, 0.0);
-  solver.solve(b, x, 5);
-  const std::vector<double>& f = solver.convergence_factors();
-  ASSERT_EQ(f.size(), 5u);
-  for (double factor : f) {
-    EXPECT_GE(factor, 0.0);
-    EXPECT_LT(factor, 1.0);  // every V-cycle contracts the residual
-  }
-  // The factors landed in the shared history registry for the recorder.
-  bool found = false;
-  for (const auto& [name, hists] : obs::histories())
-    found = found || name == "amg.solve.factors";
-  EXPECT_TRUE(found);
 }
 
 namespace {
