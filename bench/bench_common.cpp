@@ -86,7 +86,6 @@ void Reporter::snapshot_obs(const std::string& label) {
   s.analysis = alps::obs::analysis::summarize(alps::obs::analysis::step_records());
   alps::obs::analysis::reset_records();
   s.latency = alps::obs::aggregate_hists();
-  s.hw = alps::obs::aggregate_hw();
   s.memory = alps::obs::run_memory();
   snaps_.push_back(std::move(s));
 }
@@ -108,21 +107,6 @@ void Reporter::save(const std::string& path) {
       j_.arr_open("latency");
       for (const auto& [name, h] : s.latency)
         alps::obs::json_latency_row(j_, name, h);
-      j_.arr_close();
-    }
-    if (!s.hw.empty()) {
-      j_.arr_open("hw");
-      for (const auto& [name, c] : s.hw) {
-        j_.obj_open()
-            .field("span", name)
-            .field("spans", c.spans)
-            .field("available", c.available())
-            .field("cycles", c.cycles)
-            .field("instructions", c.instructions)
-            .field("llc_misses", c.llc_misses)
-            .field("stalled_cycles", c.stalled_cycles)
-            .obj_close();
-      }
       j_.arr_close();
     }
     alps::obs::json_memory(j_, "memory", s.memory);

@@ -14,7 +14,6 @@
 #include "mesh/mesh.hpp"
 #include "obs/analysis.hpp"
 #include "obs/histogram.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
@@ -59,7 +58,7 @@ class Reporter {
   /// phase breakdowns, merged counters, the wait-state / critical-path
   /// roll-up of every analyze_step the run performed, cross-rank latency
   /// histograms (per-phase count / sum / p50 / p95 / p99 / max rows), and
-  /// hardware-counter aggregates and the run memory block (obs/mem.hpp).
+  /// the run memory block (obs/mem.hpp).
   /// The analysis step records are consumed
   /// (reset) so the next snapshot only sees its own run.
   void snapshot_obs(const std::string& label);
@@ -76,7 +75,6 @@ class Reporter {
     // Cross-rank merged duration histograms (obs/histogram.hpp): one
     // percentile row per recorded phase in the JSON output.
     std::vector<std::pair<std::string, alps::obs::Histogram>> latency;
-    std::vector<std::pair<std::string, alps::obs::HwCounts>> hw;
     alps::obs::RunMemory memory;
   };
   alps::obs::TelemetryRecord j_;

@@ -10,9 +10,17 @@
 // DistAmg) at P = 4 against the replicated baseline: per-rank peak matrix
 // storage must shrink with P (the memory-scalability claim of Sec. III).
 // Results are emitted to BENCH_amg.json.
+//
+// Every timing column is the median of kReps repetitions of the setup
+// (from the already assembled matrix) and of the 160-V-cycle loop; at
+// P > 1 each repetition counts its slowest rank.
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <optional>
+#include <tuple>
 
 #include "amg/dist_amg.hpp"
 #include "bench_common.hpp"
@@ -59,6 +67,47 @@ la::DistCsr laplace_7pt(par::Comm& c, std::int64_t n) {
   return la::DistCsr::from_triplets(c, off, off, std::move(t));
 }
 
+constexpr int kReps = 5;
+
+/// Median over kReps runs of `run`, each timed on the slowest rank.
+/// `before` runs untimed ahead of each repetition.
+template <typename Before, typename Run>
+double median_s(par::Comm& comm, Before&& before, Run&& run) {
+  std::array<double, kReps> t{};
+  for (double& s : t) {
+    before();
+    const double t0 = now_s();
+    run();
+    s = comm.allreduce_max(now_s() - t0);
+  }
+  std::nth_element(t.begin(), t.begin() + kReps / 2, t.end());
+  return t[kReps / 2];
+}
+
+/// Median setup time of a hierarchy on `a` (left built in `amg`) and
+/// median time of 160 V-cycles with it on the owned rows.
+std::pair<double, double> time_setup_and_cycles(
+    par::Comm& comm, const la::DistCsr& a, std::optional<amg::DistAmg>& amg) {
+  la::DistCsr copy;
+  const double setup = median_s(
+      comm,
+      [&] {
+        amg.reset();
+        copy = a;  // DistAmg takes ownership of its matrix
+      },
+      [&] { amg.emplace(comm, std::move(copy), amg::AmgOptions{}); });
+  const std::size_t nown = static_cast<std::size_t>(a.owned_rows());
+  std::vector<double> b(nown, 1.0);
+  std::vector<double> x(nown, 0.0);
+  const double cycles = median_s(comm, [] {}, [&] {
+    for (int k = 0; k < 160; ++k) {
+      std::fill(x.begin(), x.end(), 0.0);
+      amg->vcycle(comm, b, x);
+    }
+  });
+  return {setup, cycles};
+}
+
 fem::ElementOperator poisson_operator(const forest::Forest& f,
                                       const mesh::Mesh& m) {
   return fem::build_scalar_laplace(
@@ -78,22 +127,13 @@ struct Cost {
 
 /// Setup plus 160 V-cycles of the hierarchy on a 1-rank communicator,
 /// where it holds every level: the replicated baseline.
-Cost run_case(par::Comm& comm, la::DistCsr a) {
+Cost run_case(par::Comm& comm, const la::DistCsr& a) {
   Cost c;
   c.n = a.global_rows();
-  double t0 = now_s();
-  amg::DistAmg amg(comm, std::move(a), {});
-  c.setup = now_s() - t0;
-  c.op_complexity = amg.operator_complexity();
-  for (const amg::LevelStats& s : amg.level_stats()) c.hier_nnz += s.nnz;
-  std::vector<double> b(static_cast<std::size_t>(c.n), 1.0);
-  std::vector<double> x(static_cast<std::size_t>(c.n), 0.0);
-  t0 = now_s();
-  for (int k = 0; k < 160; ++k) {
-    std::fill(x.begin(), x.end(), 0.0);
-    amg.vcycle(comm, b, x);
-  }
-  c.cycles = now_s() - t0;
+  std::optional<amg::DistAmg> amg;
+  std::tie(c.setup, c.cycles) = time_setup_and_cycles(comm, a, amg);
+  c.op_complexity = amg->operator_complexity();
+  for (const amg::LevelStats& s : amg->level_stats()) c.hier_nnz += s.nnz;
   return c;
 }
 
@@ -160,27 +200,18 @@ int main() {
       bench::adapt_toward_point(c, f, {0.5, 0.5, 0.5}, 1, level + 1);
       mesh::Mesh m = mesh::extract_mesh(c, f);
       fem::ElementOperator op = poisson_operator(f, m);
-      double t0 = now_s();
-      amg::DistAmg amg(c, op.assemble_dist(c), {});
-      const double setup = now_s() - t0;
-      const std::int64_t nown = amg.finest().owned_rows();
-      std::vector<double> b(static_cast<std::size_t>(nown), 1.0);
-      std::vector<double> x(static_cast<std::size_t>(nown), 0.0);
-      t0 = now_s();
-      for (int k = 0; k < 160; ++k) {
-        std::fill(x.begin(), x.end(), 0.0);
-        amg.vcycle(c, b, x);
-      }
-      const double cyc = now_s() - t0;
-      const std::int64_t peak = c.allreduce_max(amg.local_nnz());
+      std::optional<amg::DistAmg> amg;
+      const auto [setup, cyc] =
+          time_setup_and_cycles(c, op.assemble_dist(c), amg);
+      const std::int64_t peak = c.allreduce_max(amg->local_nnz());
       if (c.rank() == 0) {
-        dist_cost.n = amg.finest().global_rows();
+        dist_cost.n = amg->finest().global_rows();
         dist_cost.setup = setup;
         dist_cost.cycles = cyc;
-        dist_cost.op_complexity = amg.operator_complexity();
-        dist_cost.hier_nnz = amg.local_nnz();
+        dist_cost.op_complexity = amg->operator_complexity();
+        dist_cost.hier_nnz = amg->local_nnz();
         peak_nnz = peak;
-        dist_levels = amg.num_levels();
+        dist_levels = amg->num_levels();
       }
     });
     const double ratio = static_cast<double>(peak_nnz) /

@@ -64,33 +64,22 @@ int main(int argc, char** argv) {
       amg::DistAmg amg(c, op.assemble_dist(c), {});
 
       // Pull-model accounting, same scopes rhea::Simulation reports.
-      static const obs::MemScopeId kForest = obs::mem_scope("forest.octants");
-      static const obs::MemScopeId kTopo = obs::mem_scope("mesh.topology");
-      static const obs::MemScopeId kDofs = obs::mem_scope("mesh.dofs");
-      static const obs::MemScopeId kHalo = obs::mem_scope("mesh.halo");
-      static const obs::MemScopeId kPlan = obs::mem_scope("fem.plan");
-      static const obs::MemScopeId kOps = obs::mem_scope("amg.operators");
-      static const obs::MemScopeId kInterp =
-          obs::mem_scope("amg.interpolation");
-      static const obs::MemScopeId kRap = obs::mem_scope("amg.rap_plan");
-      static const obs::MemScopeId kCoarse = obs::mem_scope("amg.coarse");
-      static const obs::MemScopeId kScratch = obs::mem_scope("amg.cache");
-      static const obs::MemScopeId kMailbox = obs::mem_scope("par.mailbox");
-      static const obs::MemScopeId kObsSelf = obs::mem_scope("obs.self");
-      obs::mem_set(kForest, f.memory_bytes());
       const mesh::Mesh::MemoryBytes mb = m.memory_bytes();
-      obs::mem_set(kTopo, mb.topology);
-      obs::mem_set(kDofs, mb.dofs);
-      obs::mem_set(kHalo, mb.halo);
-      obs::mem_set(kPlan, op.memory_bytes());
       const amg::DistAmg::MemoryBytes ab = amg.memory_bytes();
-      obs::mem_set(kOps, ab.operators);
-      obs::mem_set(kInterp, ab.interpolation);
-      obs::mem_set(kRap, ab.rap);
-      obs::mem_set(kCoarse, ab.coarse);
-      obs::mem_set(kScratch, ab.scratch);
-      obs::mem_set(kMailbox, c.pending_recv_bytes());
-      obs::mem_set(kObsSelf, obs::self_memory_bytes());
+      obs::mem_report({
+          {"forest.octants", f.memory_bytes()},
+          {"mesh.topology", mb.topology},
+          {"mesh.dofs", mb.dofs},
+          {"mesh.halo", mb.halo},
+          {"fem.plan", op.memory_bytes()},
+          {"amg.operators", ab.operators},
+          {"amg.interpolation", ab.interpolation},
+          {"amg.rap_plan", ab.rap},
+          {"amg.coarse", ab.coarse},
+          {"amg.cache", ab.scratch},
+          {"par.mailbox", c.pending_recv_bytes()},
+          {"obs.self", obs::self_memory_bytes()},
+      });
 
       const obs::analysis::MemRecord rec =
           obs::analysis::analyze_memory(c, level);

@@ -3,22 +3,17 @@
 // the AMG setup is amortized over the ~16 time steps between mesh
 // adaptations). The C/F splitting, interpolation operators, and the
 // symbolic structure of the Galerkin products depend only on the mesh,
-// so between adaptations a viscosity update needs at most the numeric
-// RAP pass (DistAmg::refresh_numeric) — and not even that when the
-// viscosity has drifted less than a configured tolerance since the
-// hierarchy was last built.
+// so between adaptations a viscosity update needs only the numeric RAP
+// pass (DistAmg::refresh_numeric).
 //
 // The cache is keyed on a mesh epoch owned by whoever owns the mesh
 // (rhea::Simulation bumps it on every adapt/repartition/rebuild). The
 // Stokes solver consults it at construction: epoch mismatch -> full
-// setup; match -> numeric refresh or, below the drift tolerance, no
-// setup work at all. A stale *preconditioner* is safe — MINRES always
-// iterates with the freshly assembled operator.
+// setup; match -> numeric refresh.
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "amg/dist_amg.hpp"
 
@@ -29,7 +24,6 @@ namespace alps::amg {
 struct CacheStats {
   std::int64_t full_setups = 0;       // symbolic + numeric hierarchy builds
   std::int64_t numeric_refreshes = 0; // refresh_numeric only
-  std::int64_t skipped = 0;           // hierarchy reused untouched
 };
 
 class HierarchyCache {
@@ -41,28 +35,15 @@ class HierarchyCache {
   void bump_epoch() {
     ++epoch_;
     for (auto& a : amg) a.reset();
-    eta_snapshot.clear();
   }
 
   /// True when the cached hierarchies were built for the current epoch.
   bool valid() const { return built_epoch_ == epoch_ && amg[0] != nullptr; }
   void mark_built() { built_epoch_ = epoch_; }
 
-  /// Heap bytes the cache keeps alive between solves: the retained
-  /// hierarchies plus the viscosity snapshot (the "amg.cache" scope).
-  std::uint64_t retained_bytes() const {
-    std::uint64_t b = obs::vec_bytes(eta_snapshot);
-    for (const auto& a : amg)
-      if (a) b += a->memory_bytes().total();
-    return b;
-  }
-
   /// One hierarchy per velocity component (the three variable-viscosity
   /// Poisson blocks of the Stokes preconditioner).
   std::array<std::unique_ptr<DistAmg>, 3> amg;
-  /// Per-quadrature-point viscosity the hierarchies were last (re)built
-  /// with; the drift test compares against this, not the previous solve.
-  std::vector<double> eta_snapshot;
   CacheStats stats;
 
  private:

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/histogram.hpp"
-#include "obs/hwcounters.hpp"
 
 namespace alps::fem {
 
@@ -314,7 +313,6 @@ void ElementOperator::apply_batched(par::Comm& comm, const double* weights,
 void ElementOperator::apply_raw(par::Comm& comm, std::span<const double> x,
                                 std::span<double> y) const {
   ensure_plan();
-  OBS_HW_SPAN("fem.apply");
   OBS_HIST_SPAN("fem.apply");
   apply_batched(comm, plan_.w_raw.data(), x, y);
   mesh_->exchange_start(comm, y, ncomp_);
@@ -324,7 +322,6 @@ void ElementOperator::apply_raw(par::Comm& comm, std::span<const double> x,
 void ElementOperator::apply(par::Comm& comm, std::span<const double> x,
                             std::span<double> y) const {
   ensure_plan();
-  OBS_HW_SPAN("fem.apply");
   OBS_HIST_SPAN("fem.apply");
   apply_batched(comm, plan_.w_bc.data(), x, y);
   // Identity rows: the masked weights dropped every contribution into a

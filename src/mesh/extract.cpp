@@ -246,12 +246,6 @@ class NodeCache {
     return {rep_pool.data() + e.reps_off, static_cast<std::size_t>(e.reps_n)};
   }
 
-  std::uint64_t bytes() const {
-    return static_cast<std::uint64_t>(slots_.capacity()) * sizeof(Slot) +
-           obs::vec_bytes(entries) + obs::vec_bytes(master_pool) +
-           obs::vec_bytes(rep_pool);
-  }
-
  private:
   struct Slot {
     std::uint64_t hi, lo;
@@ -422,9 +416,6 @@ Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
     combined_keys[i] = octree::key_of(combined[i]);
 
   NodeCache cache(ne + ne / 2 + 64);
-  static const obs::MemScopeId kHashScope =
-      obs::mem_scope("mesh.extract.node_hash");
-  obs::MemScope hash_scope(kHashScope, 0);
 
   std::vector<std::array<CornerCM, 8>> cm(ne);
   std::vector<std::array<std::int32_t, 8>> node_id(ne);
@@ -505,7 +496,6 @@ Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
                             o.y + ((c & 2) ? h : 0), o.z + ((c & 4) ? h : 0)});
       }
     }
-    hash_scope.resize(cache.bytes());
   }
 
   // ---- masters: resolve each node class once ----------------------------
@@ -538,7 +528,6 @@ Mesh hashed_extract(par::Comm& comm, const forest::Forest& forest,
         }
       }
     }
-    hash_scope.resize(cache.bytes());
   }
 
   static const obs::CounterId kReusedCtr = obs::counter("amr.extract.reused");

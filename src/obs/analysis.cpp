@@ -132,7 +132,6 @@ struct RankDelta {
 struct MemDelta {
   std::uint64_t accounted = 0;
   std::uint64_t acc_hwm = 0;
-  std::string acc_hwm_phase;
   bool rss_available = false;
   std::uint64_t rss = 0;
   std::uint64_t rss_hwm = 0;
@@ -226,7 +225,7 @@ void wire(IO& io, RankDelta& d) {
 
 template <typename IO>
 void wire(IO& io, MemDelta& d) {
-  wire_all(io, d.accounted, d.acc_hwm, d.acc_hwm_phase, d.rss_available,
+  wire_all(io, d.accounted, d.acc_hwm, d.rss_available,
            d.rss, d.rss_hwm, d.rss_peak_phase, d.scopes);
 }
 
@@ -563,10 +562,9 @@ MemRecord analyze_memory(par::Comm& comm, int step) {
   rec.enabled = true;
 
   MemDelta mine;
-  mine.accounted = mem_accounted();
-  const MemHwm hwm = mem_hwm(comm.rank());
-  mine.acc_hwm = hwm.bytes;
-  if (hwm.phase != nullptr) mine.acc_hwm_phase = hwm.phase;
+  mine.scopes = mem_snapshot();
+  for (const auto& [name, bytes] : mine.scopes) mine.accounted += bytes;
+  mine.acc_hwm = mem_hwm();
   const RssSample rss = sample_rss();
   const RssPeak peak = rss_peak();
   mine.rss_available = rss.available;
@@ -575,7 +573,6 @@ MemRecord analyze_memory(par::Comm& comm, int step) {
   // the cadence sampler's observed peak; the phase comes from the latter.
   mine.rss_hwm = std::max(rss.hwm_bytes, peak.bytes);
   if (peak.phase != nullptr) mine.rss_peak_phase = peak.phase;
-  mine.scopes = mem_snapshot();
 
   const std::vector<MemDelta> deltas = exchange(comm, mine);
 
@@ -601,13 +598,8 @@ MemRecord analyze_memory(par::Comm& comm, int step) {
       rec.acc_argmax = r;
       break;
     }
-  for (int r = 0; r < rec.ranks; ++r) {
-    const MemDelta& d = deltas[static_cast<std::size_t>(r)];
-    if (d.acc_hwm >= rec.acc_hwm_max) {
-      rec.acc_hwm_max = d.acc_hwm;
-      rec.acc_hwm_phase = d.acc_hwm_phase;
-    }
-  }
+  for (const MemDelta& d : deltas)
+    rec.acc_hwm_max = std::max(rec.acc_hwm_max, d.acc_hwm);
 
   // RSS stats — only when every rank had a live sample (a mixed world
   // would make the min/mean meaningless).
@@ -685,7 +677,6 @@ std::string memory_json(const MemRecord& rec, std::int64_t dofs,
       .field("imbalance", rec.acc_imbalance)
       .field("argmax_rank", rec.acc_argmax)
       .field("hwm_bytes", rec.acc_hwm_max)
-      .field("hwm_phase", rec.acc_hwm_phase)
       .obj_close();
   // Exactly {"available":false} without a sample: check_telemetry.py
   // fails records that mix available:false with numeric RSS fields.

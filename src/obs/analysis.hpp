@@ -153,13 +153,12 @@ struct MemRecord {
   int step = 0;
   bool enabled = false;
   int ranks = 0;
-  // Accounted (registry) bytes per rank.
+  // Accounted (mem_report) bytes per rank.
   std::uint64_t acc_min = 0, acc_max = 0, acc_total = 0;
   double acc_median = 0, acc_mean = 0, acc_imbalance = 1;
   int acc_argmax = -1;
   std::vector<std::uint64_t> acc_by_rank;  // drift detector input
   std::uint64_t acc_hwm_max = 0;  // worst rank's accounted high-water mark
-  std::string acc_hwm_phase;      // phase it was set in ("" = unattributed)
   // Process RSS (identical across in-process ranks; kept per rank so the
   // schema survives a real-MPI backend).
   bool rss_available = false;

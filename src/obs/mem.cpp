@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
-
-#include "obs/obs.hpp"
 
 #ifdef __linux__
 #include <unistd.h>
@@ -34,38 +31,22 @@ std::atomic<int> g_mem{-1};
   return on;
 }
 
-// RSS sampling cadence: every N-th phase-span close (ALPS_MEM_SAMPLE).
-std::atomic<int> g_sample_every{-1};
-
-int sample_every() {
-  int v = g_sample_every.load(std::memory_order_relaxed);
-  if (v > 0) return v;
-  v = 16;
-  if (const char* env = std::getenv("ALPS_MEM_SAMPLE")) {
-    const long e = std::atol(env);
-    if (e > 0) v = static_cast<int>(e);
-  }
-  g_sample_every.store(v, std::memory_order_relaxed);
-  return v;
-}
+// RSS sampling cadence: every N-th phase-span close.
+constexpr int kSampleEvery = 16;
 
 std::atomic<bool> g_rss_forced_unavailable{false};
 
 // One slot per rank; the owning rank thread is the only writer, the main
 // thread reads after par::run joins (same contract as obs RankSlot).
 struct MemRankSlot {
-  int rank = -1;
-  std::vector<std::uint64_t> bytes;  // indexed by MemScopeId
-  std::uint64_t accounted = 0;       // sum over scopes
+  MemTable table;  // last mem_report: non-zero scopes, sorted by name
+  std::uint64_t accounted = 0;  // sum over the table
   std::uint64_t accounted_hwm = 0;
-  const char* hwm_phase = nullptr;   // innermost phase when hwm was set
 };
 
 struct MemState {
-  std::mutex mtx;  // guards slots layout, scope registry, rss peak
+  std::mutex mtx;  // guards slots layout and the rss peak
   std::vector<std::unique_ptr<MemRankSlot>> slots;
-  std::vector<std::string> scope_names;
-  std::unordered_map<std::string, MemScopeId> scope_ids;
   // Process-wide RSS peak seen by the cadence sampler (all in-process
   // ranks share one address space).
   std::uint64_t rss_peak_bytes = 0;
@@ -87,13 +68,6 @@ MemRankSlot& checked_slot(int rank) {
   return *s.slots[static_cast<std::size_t>(rank)];
 }
 
-void bump_hwm(MemRankSlot& slot) {
-  if (slot.accounted > slot.accounted_hwm) {
-    slot.accounted_hwm = slot.accounted;
-    slot.hwm_phase = current_phase();
-  }
-}
-
 }  // namespace
 
 bool mem_enabled() {
@@ -109,108 +83,25 @@ void set_mem_enabled(bool on) {
   g_mem.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
-MemScopeId mem_scope(const char* name) {
-  MemState& s = state();
-  std::lock_guard<std::mutex> lock(s.mtx);
-  const auto it = s.scope_ids.find(name);
-  if (it != s.scope_ids.end()) return it->second;
-  const MemScopeId id = static_cast<MemScopeId>(s.scope_names.size());
-  s.scope_names.emplace_back(name);
-  s.scope_ids.emplace(name, id);
-  return id;
-}
-
-void mem_set(MemScopeId id, std::uint64_t bytes) {
+void mem_report(MemTable table) {
   MemRankSlot* slot = tl_mem_slot;
   if (slot == nullptr || !mem_enabled()) return;
-  if (slot->bytes.size() <= id) slot->bytes.resize(id + 1, 0);
-  const std::uint64_t prev = slot->bytes[id];
-  slot->bytes[id] = bytes;
-  slot->accounted += bytes;
-  slot->accounted -= prev;
-  bump_hwm(*slot);
+  std::erase_if(table, [](const auto& e) { return e.second == 0; });
+  std::sort(table.begin(), table.end());
+  slot->accounted = 0;
+  for (const auto& [name, bytes] : table) slot->accounted += bytes;
+  slot->accounted_hwm = std::max(slot->accounted_hwm, slot->accounted);
+  slot->table = std::move(table);
 }
 
-void mem_add(MemScopeId id, std::int64_t delta) {
-  MemRankSlot* slot = tl_mem_slot;
-  if (slot == nullptr || !mem_enabled()) return;
-  if (slot->bytes.size() <= id) slot->bytes.resize(id + 1, 0);
-  std::uint64_t& cur = slot->bytes[id];
-  // Clamp at zero: a mismatched release must not wrap the scope (or the
-  // accounted sum) around to 2^64.
-  const std::uint64_t sub =
-      delta < 0 ? std::min(cur, static_cast<std::uint64_t>(-delta)) : 0;
-  const std::uint64_t add =
-      delta > 0 ? static_cast<std::uint64_t>(delta) : 0;
-  cur += add;
-  cur -= sub;
-  slot->accounted += add;
-  slot->accounted -= sub;
-  bump_hwm(*slot);
-}
-
-std::uint64_t mem_bytes(int rank, MemScopeId id) {
-  const MemRankSlot& slot = checked_slot(rank);
-  return id < slot.bytes.size() ? slot.bytes[id] : 0;
-}
-
-std::uint64_t mem_accounted(int rank) { return checked_slot(rank).accounted; }
-
-std::uint64_t mem_accounted() {
+MemTable mem_snapshot() {
   const MemRankSlot* slot = tl_mem_slot;
-  return slot != nullptr ? slot->accounted : 0;
+  return slot != nullptr ? slot->table : MemTable{};
 }
 
-MemHwm mem_hwm(int rank) {
-  const MemRankSlot& slot = checked_slot(rank);
-  return MemHwm{slot.accounted_hwm, slot.hwm_phase};
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> aggregate_mem() {
-  MemState& s = state();
-  std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(s.mtx);
-    names = s.scope_names;
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (std::size_t id = 0; id < names.size(); ++id) {
-    std::uint64_t sum = 0;
-    for (const auto& slot : s.slots)
-      if (id < slot->bytes.size()) sum += slot->bytes[id];
-    if (sum > 0) out.emplace_back(names[id], sum);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> mem_snapshot() {
+std::uint64_t mem_hwm() {
   const MemRankSlot* slot = tl_mem_slot;
-  if (slot == nullptr) return {};
-  MemState& s = state();
-  std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(s.mtx);
-    names = s.scope_names;
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (std::size_t id = 0; id < names.size() && id < slot->bytes.size(); ++id)
-    if (slot->bytes[id] > 0) out.emplace_back(names[id], slot->bytes[id]);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-MemScope::MemScope(MemScopeId id, std::uint64_t bytes)
-    : id_(id), bytes_(bytes) {
-  mem_add(id_, static_cast<std::int64_t>(bytes_));
-}
-
-MemScope::~MemScope() { mem_add(id_, -static_cast<std::int64_t>(bytes_)); }
-
-void MemScope::resize(std::uint64_t bytes) {
-  mem_add(id_, static_cast<std::int64_t>(bytes) -
-                   static_cast<std::int64_t>(bytes_));
-  bytes_ = bytes;
+  return slot != nullptr ? slot->accounted_hwm : 0;
 }
 
 // ---- process RSS ------------------------------------------------------
@@ -258,15 +149,15 @@ RunMemory run_memory() {
   RunMemory m;
   m.available = mem_enabled();
   if (!m.available) return m;
-  for (std::size_t r = 0; r < state().slots.size(); ++r) {
-    const int rank = static_cast<int>(r);
-    m.by_rank.push_back(mem_accounted(rank));
-    const MemHwm h = mem_hwm(rank);
-    if (h.bytes >= m.hwm.bytes) m.hwm = h;
+  std::map<std::string, std::uint64_t> scopes;
+  for (const auto& slot : state().slots) {
+    m.by_rank.push_back(slot->accounted);
+    m.hwm = std::max(m.hwm, slot->accounted_hwm);
+    for (const auto& [name, bytes] : slot->table) scopes[name] += bytes;
   }
   m.rss = sample_rss();
   m.peak = rss_peak();
-  m.scopes = aggregate_mem();
+  m.scopes.assign(scopes.begin(), scopes.end());
   return m;
 }
 
@@ -276,11 +167,8 @@ void world_begin(int nranks) {
   MemState& s = state();
   std::lock_guard<std::mutex> lock(s.mtx);
   s.slots.clear();
-  for (int r = 0; r < nranks; ++r) {
-    auto slot = std::make_unique<MemRankSlot>();
-    slot->rank = r;
-    s.slots.push_back(std::move(slot));
-  }
+  for (int r = 0; r < nranks; ++r)
+    s.slots.push_back(std::make_unique<MemRankSlot>());
   s.rss_peak_bytes = 0;
   s.rss_peak_phase = nullptr;
 }
@@ -294,7 +182,7 @@ void rank_unbind() { tl_mem_slot = nullptr; }
 
 void phase_close_tick(const char* phase) {
   if (tl_mem_slot == nullptr || !mem_enabled()) return;
-  if (++tl_tick < sample_every()) return;
+  if (++tl_tick < kSampleEvery) return;
   tl_tick = 0;
   const RssSample r = sample_rss();
   if (!r.available) return;

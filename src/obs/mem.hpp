@@ -6,28 +6,27 @@
 // bounded as the mesh adapts; this module makes that claim measurable.
 // Two complementary views, deliberately kept apart:
 //
-//  1. *Accounted* bytes: the big owners (mesh/forest, la::DistCsr,
-//     amg::DistAmg, par mailboxes, obs itself) report what they hold into
-//     a registry of named scopes ("amg.operators", "mesh.halo", ...)
-//     mirroring the counter registry — interned name -> small id, one
-//     value slot per rank, lock-free on the owning rank thread. Scope
-//     names use a "subsystem.detail" convention; aggregation by the
-//     prefix before the first '.' yields the per-subsystem breakdown and
-//     the bytes/dof figures gated by bench_memory.
+//  1. *Accounted* bytes: once per step each rank hands mem_report() one
+//     table of named scopes ("amg.operators", "mesh.halo", ...) built
+//     from the memory_bytes() accessors of the big owners (mesh/forest,
+//     la::DistCsr, amg::DistAmg, par mailboxes, obs itself). The table
+//     replaces the rank's previous one in its own slot. Scope names use
+//     a "subsystem.detail" convention; aggregation by the prefix before
+//     the first '.' yields the per-subsystem breakdown and the bytes/dof
+//     figures gated by bench_memory. The accounted high-water mark is the
+//     running maximum of the reported totals.
 //  2. *RSS*: what the OS actually charges the process, sampled from
 //     /proc/self/statm + /proc/self/status (VmHWM). Off-Linux or when
 //     /proc is unreadable the sample degrades to available:false rather
-//     than fabricating zeros (same contract as obs/hwcounters.hpp).
+//     than fabricating zeros.
 //
-// High-water marks are attributed to the innermost OBS_PHASE_SPAN open
-// when the peak was set, so a spike names the phase that caused it. The
-// accounted HWM updates on every mem_set/mem_add; the RSS peak is
-// sampled on every ALPS_MEM_SAMPLE-th phase-span close (default 16 —
-// RSS only moves when allocations happen, and those sit inside phases).
+// The RSS peak is sampled on every 16th phase-span close (RSS only moves
+// when allocations happen, and those sit inside phases) and attributed
+// to the phase that closed, so a spike names the phase that caused it.
 //
-// Enablement: ALPS_MEM (default ON — accounting is a handful of adds per
+// Enablement: ALPS_MEM (default ON — accounting is one table per
 // timestep, never per-element) or set_mem_enabled(). -DALPS_OBS_DISABLE
-// compiles the OBS_MEM_SCOPE macro out and pins mem_enabled() to false.
+// pins mem_enabled() to false.
 
 #include <cstdint>
 #include <string>
@@ -43,9 +42,7 @@ namespace alps::obs {
 bool mem_enabled();
 void set_mem_enabled(bool on);  // overrides ALPS_MEM
 
-// ---- scope registry ---------------------------------------------------
-
-using MemScopeId = std::uint32_t;
+// ---- per-rank scope table --------------------------------------------
 
 /// Heap bytes a vector holds — capacity-based, i.e. what the allocator
 /// actually charges, not just what is in use. The owners' memory_bytes()
@@ -55,73 +52,19 @@ std::uint64_t vec_bytes(const std::vector<T>& v) {
   return static_cast<std::uint64_t>(v.capacity()) * sizeof(T);
 }
 
-/// Intern `name` ("subsystem.detail") into the registry (thread-safe;
-/// cache the id in a function-local static at reporting sites).
-MemScopeId mem_scope(const char* name);
+/// One rank's accounted bytes by "subsystem.detail" scope name.
+using MemTable = std::vector<std::pair<std::string, std::uint64_t>>;
 
-/// Set this rank's byte count for `id` to the absolute value `bytes`
-/// (owners recompute their footprint and report the total). No-op on
-/// unbound threads or when disabled.
-void mem_set(MemScopeId id, std::uint64_t bytes);
-/// Adjust this rank's byte count for `id` by `delta`, clamped at zero.
-void mem_add(MemScopeId id, std::int64_t delta);
+/// Replace the calling rank's whole scope table: a scope left out reads
+/// zero from now on. Raises the rank's accounted HWM to the new total
+/// when it is higher. No-op on unbound threads or when disabled.
+void mem_report(MemTable table);
 
-/// Current bytes of `id` on `rank` / summed accounted bytes of `rank`.
-/// Safe from the owning rank thread or after par::run has joined.
-std::uint64_t mem_bytes(int rank, MemScopeId id);
-std::uint64_t mem_accounted(int rank);
-/// Accounted bytes of the calling thread's bound rank (0 unbound).
-std::uint64_t mem_accounted();
-
-/// Accounted high-water mark of one rank with the innermost phase that
-/// was open when it was last raised (nullptr = outside any phase).
-struct MemHwm {
-  std::uint64_t bytes = 0;
-  const char* phase = nullptr;
-};
-MemHwm mem_hwm(int rank);
-
-/// Per-scope bytes summed over all rank slots; sorted by name, zero
-/// scopes omitted. Call after par::run has joined.
-std::vector<std::pair<std::string, std::uint64_t>> aggregate_mem();
-/// All non-zero scopes of the calling thread's rank, sorted by name
-/// (the per-rank blob obs::analysis::analyze_memory exchanges).
-std::vector<std::pair<std::string, std::uint64_t>> mem_snapshot();
-
-// ---- RAII tag for transients ------------------------------------------
-
-/// Tags a transient allocation (e.g. the AMR interpolation workspace):
-/// adds `bytes` to `id` for the scope's lifetime. For long-lived owners
-/// prefer recomputing and mem_set-ing the absolute footprint.
-class MemScope {
- public:
-  MemScope(MemScopeId id, std::uint64_t bytes);
-  ~MemScope();
-  MemScope(const MemScope&) = delete;
-  MemScope& operator=(const MemScope&) = delete;
-  /// Re-tag to a new size (the workspace grew or shrank).
-  void resize(std::uint64_t bytes);
-
- private:
-  MemScopeId id_;
-  std::uint64_t bytes_;
-};
-
-#ifndef ALPS_OBS_DISABLE
-#ifndef ALPS_OBS_CONCAT
-#define ALPS_OBS_CONCAT2(a, b) a##b
-#define ALPS_OBS_CONCAT(a, b) ALPS_OBS_CONCAT2(a, b)
-#endif
-/// Scoped transient-allocation tag: OBS_MEM_SCOPE("amr.workspace", n).
-#define OBS_MEM_SCOPE(name, bytes)                                        \
-  static const ::alps::obs::MemScopeId ALPS_OBS_CONCAT(                   \
-      obs_mem_id_, __LINE__) = ::alps::obs::mem_scope(name);              \
-  ::alps::obs::MemScope ALPS_OBS_CONCAT(obs_mem_scope_, __LINE__)(        \
-      ALPS_OBS_CONCAT(obs_mem_id_, __LINE__),                             \
-      static_cast<std::uint64_t>(bytes))
-#else
-#define OBS_MEM_SCOPE(name, bytes) ((void)0)
-#endif
+/// The calling rank's table (non-zero scopes, sorted by name) and its
+/// accounted HWM; empty / 0 on unbound threads or before any report.
+/// This is the per-rank blob obs::analysis::analyze_memory exchanges.
+MemTable mem_snapshot();
+std::uint64_t mem_hwm();
 
 // ---- process RSS ------------------------------------------------------
 
@@ -138,9 +81,8 @@ RssSample sample_rss();
 void set_rss_unavailable_for_testing(bool forced);
 
 /// Highest RSS seen by the cadence sampler since world_begin, with the
-/// innermost phase open on the sampling thread when it was set. The
-/// process address space is shared by every in-process rank, so this is
-/// per-world, not per-rank.
+/// phase whose close took that sample. The process address space is
+/// shared by every in-process rank, so this is per-world, not per-rank.
 struct RssPeak {
   std::uint64_t bytes = 0;
   const char* phase = nullptr;
@@ -154,10 +96,10 @@ RssPeak rss_peak();
 struct RunMemory {
   bool available = false;               // mem_enabled(); nothing else valid
   std::vector<std::uint64_t> by_rank;   // accounted bytes per rank
-  MemHwm hwm;                           // worst rank's accounted HWM
+  std::uint64_t hwm = 0;                // worst rank's accounted HWM
   RssSample rss;
   RssPeak peak;
-  std::vector<std::pair<std::string, std::uint64_t>> scopes;  // aggregate_mem
+  MemTable scopes;  // summed over ranks, sorted by name, zeros omitted
 };
 RunMemory run_memory();
 
@@ -166,8 +108,8 @@ namespace memdetail {
 void world_begin(int nranks);
 void rank_bind(int rank);
 void rank_unbind();
-/// Called on every phase-span close; samples RSS every ALPS_MEM_SAMPLE-th
-/// call (default 16) and folds the result into rss_peak().
+/// Called on every phase-span close; samples RSS every 16th call and
+/// folds the result into rss_peak().
 void phase_close_tick(const char* phase);
 }  // namespace memdetail
 

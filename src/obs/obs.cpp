@@ -13,7 +13,6 @@
 #include <unordered_map>
 
 #include "obs/histogram.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/mem.hpp"
 
 namespace alps::obs {
@@ -165,7 +164,6 @@ void world_begin(int nranks) {
   }
   s.epoch = Clock::now();
   g_generation.fetch_add(1, std::memory_order_relaxed);
-  detail::world_begin(nranks);
   memdetail::world_begin(nranks);
 }
 
@@ -173,13 +171,11 @@ void rank_bind(int rank) {
   tl_slot = &checked_slot(rank);
   tl_phase_depth = 0;
   tl_wait_suppressed = false;
-  detail::rank_bind(rank);
   memdetail::rank_bind(rank);
 }
 
 void rank_unbind() {
   tl_slot = nullptr;
-  detail::rank_unbind();
   memdetail::rank_unbind();
 }
 
@@ -287,10 +283,6 @@ CounterId amg_setup_full() {
 }
 CounterId amg_setup_numeric() {
   static const CounterId id = counter("amg.setup.numeric");
-  return id;
-}
-CounterId amg_setup_skipped() {
-  static const CounterId id = counter("amg.setup.skipped");
   return id;
 }
 CounterId minres_syncs() {

@@ -262,11 +262,9 @@ CounterId minres_iterations();
 CounterId cg_iterations();
 CounterId amg_vcycles();
 /// Hierarchy-reuse outcomes per StokesSolver construction (see
-/// amg::HierarchyCache): full symbolic setup / numeric-only RAP refresh /
-/// setup skipped entirely under the viscosity-drift tolerance.
+/// amg::HierarchyCache): full symbolic setup / numeric-only RAP refresh.
 CounterId amg_setup_full();
 CounterId amg_setup_numeric();
-CounterId amg_setup_skipped();
 /// Global synchronization rounds (fused multi-value allreduces) issued by
 /// the Krylov iterations ("comm.sync.minres" / "comm.sync.cg"). Divided
 /// by the matching *_iterations counter this yields the per-iteration

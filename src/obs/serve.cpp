@@ -437,16 +437,6 @@ void handle_connection(ServeState& s, int fd) {
                     "unhealthy: " + (reason.empty() ? "sentinel" : reason) +
                         "\n");
     }
-  } else if (path == "/telemetry/tail") {
-    // Lines come pre-sanitized from the telemetry JSONL renderer
-    // (non-finite doubles are already null); the sink mutex makes the
-    // read safe against the emitting rank.
-    std::string body;
-    for (const std::string& line : telemetry_tail()) {
-      body += line;
-      body += '\n';
-    }
-    send_response(fd, 200, "OK", "application/x-ndjson", body);
   } else {
     send_response(fd, 404, "Not Found", "text/plain", "not found\n");
   }

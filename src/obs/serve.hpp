@@ -14,9 +14,6 @@
 //                    wall-clock ETA from a sliding-window step rate.
 //   /healthz         200 "ok" while stepping; 503 after a sentinel trip
 //                    or >= N consecutive stagnated/failed solves.
-//   /telemetry/tail  The in-memory telemetry tail ring as JSONL (the
-//                    lines reuse the telemetry sanitizer: non-finite
-//                    values are already null).
 //
 // Concurrency: the simulation thread (rank 0, once per step) renders a
 // MetricsSnapshot into one of two pre-allocated response buffers and

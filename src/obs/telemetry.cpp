@@ -190,8 +190,7 @@ void json_memory(TelemetryRecord& w, const char* key, const RunMemory& m) {
   for (const std::uint64_t b : m.by_rank) w.field(nullptr, b);
   w.arr_close()
       .field("total_bytes", total)
-      .field("hwm_bytes", m.hwm.bytes)
-      .field("hwm_phase", m.hwm.phase != nullptr ? m.hwm.phase : "")
+      .field("hwm_bytes", m.hwm)
       .obj_close();
   w.obj_open("rss").field("available", m.rss.available);
   if (m.rss.available)

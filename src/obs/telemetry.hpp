@@ -127,7 +127,7 @@ void json_latency_row(TelemetryRecord& w, const std::string& phase,
                       const Histogram& h);
 /// The run memory block (memory.json and the BENCH_*.json "memory"
 /// block): {"available":false}, or {"available":true,"accounted":{
-/// "by_rank","total_bytes","hwm_bytes","hwm_phase"},"rss":{..},"scopes":
+/// "by_rank","total_bytes","hwm_bytes"},"rss":{..},"scopes":
 /// {name:bytes}} where rss is {"available":false} or {"available":true,
 /// "rss_bytes","hwm_bytes","peak_bytes","peak_phase"}.
 void json_memory(TelemetryRecord& w, const char* key, const RunMemory& m);

@@ -266,11 +266,6 @@ void Simulation::adapt_once() {
     OBS_PHASE_SPAN("amr.interpolate_fields");
     const octree::Correspondence corr =
         octree::compute_correspondence(old_leaves, tree.leaves());
-    // Transient workspace: the old-leaf snapshot, the correspondence, and
-    // the element-value field live only for this interpolation.
-    OBS_MEM_SCOPE("amr.workspace", obs::vec_bytes(old_leaves) +
-                                       obs::vec_bytes(corr.entries) +
-                                       obs::vec_bytes(ev));
     ev = mesh::interpolate_element_values(old_leaves, tree.leaves(), corr, ev);
   }
 
@@ -393,37 +388,7 @@ void Simulation::run(int steps) {
 }
 
 void Simulation::account_memory() {
-  using obs::mem_scope;
-  using obs::mem_set;
-  static const obs::MemScopeId kForest = mem_scope("forest.octants");
-  static const obs::MemScopeId kMeshTopo = mem_scope("mesh.topology");
-  static const obs::MemScopeId kMeshDofs = mem_scope("mesh.dofs");
-  static const obs::MemScopeId kMeshHalo = mem_scope("mesh.halo");
-  static const obs::MemScopeId kFemPlan = mem_scope("fem.plan");
-  static const obs::MemScopeId kEnergy = mem_scope("energy.fields");
-  static const obs::MemScopeId kFields = mem_scope("rhea.fields");
-  static const obs::MemScopeId kQuadWeights = mem_scope("rhea.quad_weights");
-  static const obs::MemScopeId kAmgOps = mem_scope("amg.operators");
-  static const obs::MemScopeId kAmgInterp = mem_scope("amg.interpolation");
-  static const obs::MemScopeId kAmgRap = mem_scope("amg.rap_plan");
-  static const obs::MemScopeId kAmgCoarse = mem_scope("amg.coarse");
-  static const obs::MemScopeId kAmgCache = mem_scope("amg.cache");
-  static const obs::MemScopeId kMailbox = mem_scope("par.mailbox");
-  static const obs::MemScopeId kObsSelf = mem_scope("obs.self");
-  static const obs::MemScopeId kObsTel = mem_scope("obs.telemetry");
-  static const obs::MemScopeId kInject = mem_scope("test.drift_inject");
-
-  mem_set(kForest, forest_.memory_bytes());
   const mesh::Mesh::MemoryBytes mb = mesh_.memory_bytes();
-  mem_set(kMeshTopo, mb.topology);
-  mem_set(kMeshDofs, mb.dofs);
-  mem_set(kMeshHalo, mb.halo);
-  mem_set(kFemPlan, energy_ ? energy_->op().memory_bytes() : 0);
-  mem_set(kEnergy, energy_ ? energy_->memory_bytes() : 0);
-  mem_set(kFields,
-          obs::vec_bytes(temperature_) + obs::vec_bytes(solution_));
-  mem_set(kQuadWeights, obs::vec_bytes(quad_weights_));
-
   amg::DistAmg::MemoryBytes ab;
   for (const auto& a : amg_cache_.amg) {
     if (!a) continue;
@@ -434,17 +399,6 @@ void Simulation::account_memory() {
     ab.coarse += m.coarse;
     ab.scratch += m.scratch;
   }
-  mem_set(kAmgOps, ab.operators);
-  mem_set(kAmgInterp, ab.interpolation);
-  mem_set(kAmgRap, ab.rap);
-  mem_set(kAmgCoarse, ab.coarse);
-  // The cache scope holds what reuse keeps alive beyond the operators
-  // themselves: the viscosity snapshot and the cycle workspaces.
-  mem_set(kAmgCache, obs::vec_bytes(amg_cache_.eta_snapshot) + ab.scratch);
-
-  mem_set(kMailbox, comm_->pending_recv_bytes());
-  mem_set(kObsSelf, obs::self_memory_bytes());
-  mem_set(kObsTel, obs::telemetry_tail_bytes());
   // Synthetic linear leak for the drift-detector acceptance test.
   const std::uint64_t inject =
       (comm_->rank() == cfg_.mem_drift_inject_rank &&
@@ -452,7 +406,26 @@ void Simulation::account_memory() {
           ? static_cast<std::uint64_t>(steps_) *
                 static_cast<std::uint64_t>(cfg_.mem_drift_inject_bytes)
           : 0;
-  mem_set(kInject, inject);
+  obs::mem_report({
+      {"forest.octants", forest_.memory_bytes()},
+      {"mesh.topology", mb.topology},
+      {"mesh.dofs", mb.dofs},
+      {"mesh.halo", mb.halo},
+      {"fem.plan", energy_ ? energy_->op().memory_bytes() : 0},
+      {"energy.fields", energy_ ? energy_->memory_bytes() : 0},
+      {"rhea.fields", obs::vec_bytes(temperature_) + obs::vec_bytes(solution_)},
+      {"rhea.quad_weights", obs::vec_bytes(quad_weights_)},
+      {"amg.operators", ab.operators},
+      {"amg.interpolation", ab.interpolation},
+      {"amg.rap_plan", ab.rap},
+      {"amg.coarse", ab.coarse},
+      // What reuse keeps alive beyond the operators: the cycle workspaces.
+      {"amg.cache", ab.scratch},
+      {"par.mailbox", comm_->pending_recv_bytes()},
+      {"obs.self", obs::self_memory_bytes()},
+      {"obs.telemetry", obs::telemetry_tail_bytes()},
+      {"test.drift_inject", inject},
+  });
 }
 
 std::string Simulation::update_mem_drift(const obs::analysis::MemRecord& mrec,

@@ -1,7 +1,6 @@
 #include "stokes/stokes.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <optional>
 
 #include "obs/obs.hpp"
@@ -125,25 +124,7 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
   phase_span.emplace("amg.setup", obs::Cat::kPhase, true);
   t0 = now_seconds();
   amg::HierarchyCache& hc = *cache_;
-  const bool reusable = opt_.reuse.enable && hc.valid();
-  // Viscosity-drift full skip: when the quadrature viscosity has moved
-  // less than the tolerance (relative l2, global) since the hierarchies
-  // were last built, keep them untouched. The allreduce makes the
-  // decision collectively consistent.
-  bool skip = false;
-  if (reusable && opt_.reuse.viscosity_drift_tol > 0.0 &&
-      hc.eta_snapshot.size() == eta_quad.size()) {
-    double num = 0.0, den = 0.0;
-    for (std::size_t i = 0; i < eta_quad.size(); ++i) {
-      const double d = eta_quad[i] - hc.eta_snapshot[i];
-      num += d * d;
-      den += hc.eta_snapshot[i] * hc.eta_snapshot[i];
-    }
-    num = comm.allreduce_sum(num);
-    den = comm.allreduce_sum(den);
-    skip = den > 0.0 && std::sqrt(num / den) <= opt_.reuse.viscosity_drift_tol;
-  }
-  if (!reusable) {
+  if (!hc.valid()) {
     for (int c = 0; c < 3; ++c) {
       // Owned-row distributed assembly + distributed hierarchy: per-rank
       // setup and apply cost is O(N_local), the paper's scalability claim.
@@ -154,7 +135,7 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
     hc.mark_built();
     ++hc.stats.full_setups;
     obs::counter_add(obs::wellknown::amg_setup_full(), 1);
-  } else if (!skip) {
+  } else {
     // Mesh unchanged since the last build: C/F split, interpolation, and
     // the RAP symbolic structure are still exact; only operator values
     // moved with the viscosity.
@@ -163,11 +144,7 @@ StokesSolver::StokesSolver(par::Comm& comm, const Mesh& m,
           comm, poisson_[static_cast<std::size_t>(c)]->assemble_dist(comm));
     ++hc.stats.numeric_refreshes;
     obs::counter_add(obs::wellknown::amg_setup_numeric(), 1);
-  } else {
-    ++hc.stats.skipped;
-    obs::counter_add(obs::wellknown::amg_setup_skipped(), 1);
   }
-  if (!skip) hc.eta_snapshot.assign(eta_quad.begin(), eta_quad.end());
   comp_b_.resize(static_cast<std::size_t>(m.n_owned));
   comp_x_.resize(static_cast<std::size_t>(m.n_owned));
   timings_.amg_setup_seconds = now_seconds() - t0;

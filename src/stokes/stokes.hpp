@@ -38,23 +38,10 @@ enum class VelocityBc {
   kNoSlip,    // u = 0 on every physical face
 };
 
-/// Hierarchy-reuse policy when a HierarchyCache is supplied: a valid
-/// cache (same mesh epoch) skips the symbolic AMG setup and runs the
-/// numeric Galerkin refresh only; with a positive drift tolerance, a
-/// relative viscosity change ||eta - eta_built|| / ||eta_built|| at or
-/// below it skips even that and reuses the hierarchy untouched. The
-/// preconditioner then lags the viscosity, which is safe: MINRES always
-/// iterates with the freshly assembled operator.
-struct AmgReuseOptions {
-  bool enable = true;
-  double viscosity_drift_tol = 0.0;  // 0 = always refresh numerically
-};
-
 struct StokesOptions {
   VelocityBc bc = VelocityBc::kFreeSlip;
   la::KrylovOptions krylov{200, 1e-6};
   amg::AmgOptions amg{};
-  AmgReuseOptions reuse{};
 };
 
 struct StokesTimings {
@@ -70,7 +57,7 @@ class StokesSolver {
   /// Setup assembles the saddle operator, the three Poisson AMG
   /// hierarchies, and the inverse-viscosity Schur diagonal. When `cache`
   /// is non-null and valid for the current mesh epoch, the hierarchies in
-  /// it are reused per opt.reuse instead of being rebuilt. Collective.
+  /// it get a numeric refresh instead of a rebuild. Collective.
   StokesSolver(par::Comm& comm, const Mesh& m,
                const forest::Connectivity& conn,
                std::span<const double> eta_quad, const StokesOptions& opt,

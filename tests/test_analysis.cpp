@@ -1,8 +1,7 @@
-// obs::analysis + obs hardware counters: Scalasca-style wait-state
-// classification (late-sender blame, collective imbalance, achieved
-// overlap), per-step critical-path stitching via analyze_step, Perfetto
-// flow-event pairing across ranks, and the perf_event sampling fallback
-// (real counts when permitted, clean "unavailable" otherwise).
+// obs::analysis: Scalasca-style wait-state classification (late-sender
+// blame, collective imbalance, achieved overlap), per-step critical-path
+// stitching via analyze_step, and Perfetto flow-event pairing across
+// ranks.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "obs/analysis.hpp"
-#include "obs/hwcounters.hpp"
 #include "obs/obs.hpp"
 #include "par/runtime.hpp"
 
@@ -24,15 +22,13 @@ void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-/// Restore every analysis/tracing/hw switch so test ordering never leaks.
+/// Restore every analysis/tracing switch so test ordering never leaks.
 class AnalysisTest : public ::testing::Test {
  protected:
   void SetUp() override { obs::set_analysis_enabled(true); }
   void TearDown() override {
     obs::set_enabled(false);
     obs::set_analysis_enabled(true);  // default-on
-    obs::set_hw_enabled(false);
-    obs::set_hw_unavailable_for_testing(false);
     obs::analysis::reset_records();
   }
 };
@@ -285,66 +281,4 @@ TEST_F(AnalysisTest, FlowSequencesStayMatchedWhenTracingTogglesMidRun) {
   ASSERT_EQ(f0.size(), 1u);
   ASSERT_EQ(f1.size(), 1u);
   EXPECT_EQ(f0[0].id, f1[0].id);
-}
-
-TEST_F(AnalysisTest, HwSpansReportUnavailableInsteadOfFabricatingZeros) {
-  obs::set_hw_enabled(true);
-  obs::set_hw_unavailable_for_testing(true);
-  par::run(2, [](par::Comm&) {
-    OBS_HW_SPAN("test.hw_unavail");
-    volatile int sink = 0;
-    for (int i = 0; i < 1000; ++i) sink = sink + i;
-  });
-  bool found = false;
-  for (const auto& [name, c] : obs::aggregate_hw()) {
-    if (name != "test.hw_unavail") continue;
-    found = true;
-#ifndef ALPS_OBS_DISABLE
-    EXPECT_EQ(c.spans, 2u);  // one scope per rank, still counted
-#endif
-    EXPECT_FALSE(c.available());
-    EXPECT_FALSE(c.cycles_ok);
-    EXPECT_EQ(c.cycles, 0u);
-  }
-#ifndef ALPS_OBS_DISABLE
-  EXPECT_TRUE(found);
-#else
-  // -DALPS_OBS_DISABLE compiles OBS_HW_SPAN out entirely: zero cost,
-  // zero records.
-  EXPECT_FALSE(found);
-#endif
-}
-
-TEST_F(AnalysisTest, HwSpansDeliverRealCountsWhenPerfIsPermitted) {
-  obs::set_hw_enabled(true);
-  par::run(1, [](par::Comm&) {
-    OBS_HW_SPAN("test.hw_real");
-    volatile double x = 1.0;
-    for (int i = 0; i < 200000; ++i) x = x * 1.0000001 + 1e-9;
-  });
-#ifndef ALPS_OBS_DISABLE
-  bool found = false;
-  for (const auto& [name, c] : obs::aggregate_hw()) {
-    if (name != "test.hw_real") continue;
-    found = true;
-    EXPECT_EQ(c.spans, 1u);
-    if (obs::hw_available()) {
-      // The probe passed: at least cycles/instructions count for real.
-      EXPECT_TRUE(c.available());
-      if (c.cycles_ok) EXPECT_GT(c.cycles, 0u);
-      if (c.instructions_ok) EXPECT_GT(c.instructions, 0u);
-    } else {
-      // Unprivileged environment: clean unavailable, never fake counts.
-      EXPECT_FALSE(c.available());
-    }
-  }
-  EXPECT_TRUE(found);
-#endif
-}
-
-TEST_F(AnalysisTest, DisabledHwSamplingRecordsNothing) {
-  obs::set_hw_enabled(false);
-  par::run(1, [](par::Comm&) { OBS_HW_SPAN("test.hw_off"); });
-  for (const auto& [name, c] : obs::aggregate_hw())
-    EXPECT_NE(name, "test.hw_off");
 }

@@ -1,6 +1,6 @@
-// Memory observability (DESIGN.md §12): the obs::mem scope registry
-// (set/add, RAII transients, per-rank slots and merge), HWM phase
-// attribution, the RSS sampler's clean unavailable fallback, the
+// Memory observability (DESIGN.md §12): the per-rank obs::mem scope
+// table (whole-table replacement, running-maximum HWM, per-rank slots and
+// merge), the RSS sampler's clean unavailable fallback, the
 // analyze_memory cross-rank aggregation, and the rhea drift detector's
 // injection hook tripping the flight recorder with the leaking rank
 // named in the bundle.
@@ -50,51 +50,35 @@ using MemDriftTest = MemRegistryTest;
 
 }  // namespace
 
-// ---- scope registry ----------------------------------------------------
+// ---- per-rank scope table ---------------------------------------------
 
-TEST_F(MemRegistryTest, SetAddAndClampOnOneRank) {
+TEST_F(MemRegistryTest, ScopeLeftOutOfNextReportReadsZero) {
   obs::set_mem_enabled(true);
-  const obs::MemScopeId id = obs::mem_scope("test.setadd");
-  EXPECT_EQ(obs::mem_scope("test.setadd"), id);  // interning is stable
   par::run(1, [&](par::Comm&) {
-    obs::mem_set(id, 1000);
-    EXPECT_EQ(obs::mem_bytes(0, id), 1000u);
-    obs::mem_add(id, 500);
-    EXPECT_EQ(obs::mem_bytes(0, id), 1500u);
-    obs::mem_add(id, -5000);  // clamped at zero, never wraps
-    EXPECT_EQ(obs::mem_bytes(0, id), 0u);
-    obs::mem_set(id, 64);
+    obs::mem_report({{"test.kept", 10}, {"test.dropped", 20}});
+    obs::mem_report({{"test.kept", 5}});  // replaces the whole table
+    const obs::MemTable t = obs::mem_snapshot();
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t[0].first, "test.kept");
+    EXPECT_EQ(t[0].second, 5u);
   });
-  EXPECT_EQ(obs::mem_bytes(0, id), 64u);  // readable after the join
-  EXPECT_GE(obs::mem_accounted(0), 64u);
+  // Readable after the join.
+  const obs::RunMemory m = obs::run_memory();
+  ASSERT_EQ(m.by_rank.size(), 1u);
+  EXPECT_EQ(m.by_rank[0], 5u);
+  ASSERT_EQ(m.scopes.size(), 1u);
+  EXPECT_EQ(m.scopes[0].first, "test.kept");
 }
 
-TEST_F(MemRegistryTest, SetIsNoOpOnUnboundThread) {
+TEST_F(MemRegistryTest, ReportIsNoOpOnUnboundThread) {
   obs::set_mem_enabled(true);
-  const obs::MemScopeId id = obs::mem_scope("test.unbound");
-  par::run(1, [&](par::Comm&) { obs::mem_set(id, 11); });
-  // This thread is not a rank thread: writes must not land anywhere.
-  obs::mem_set(id, 999);
-  obs::mem_add(id, 999);
-  EXPECT_EQ(obs::mem_bytes(0, id), 11u);
-}
-
-TEST_F(MemRegistryTest, RaiiScopeTagsTransientAllocations) {
-  obs::set_mem_enabled(true);
-  const obs::MemScopeId id = obs::mem_scope("test.workspace");
-  par::run(1, [&](par::Comm&) {
-    EXPECT_EQ(obs::mem_bytes(0, id), 0u);
-    {
-      OBS_MEM_SCOPE("test.workspace", 4096);
-      EXPECT_EQ(obs::mem_bytes(0, id), 4096u);
-      {
-        OBS_MEM_SCOPE("test.workspace", 1024);  // nesting accumulates
-        EXPECT_EQ(obs::mem_bytes(0, id), 5120u);
-      }
-      EXPECT_EQ(obs::mem_bytes(0, id), 4096u);
-    }
-    EXPECT_EQ(obs::mem_bytes(0, id), 0u);  // fully unwound
-  });
+  par::run(1, [&](par::Comm&) { obs::mem_report({{"test.unbound", 11}}); });
+  // This thread is not a rank thread: the report must not land anywhere.
+  obs::mem_report({{"test.unbound", 999}});
+  EXPECT_TRUE(obs::mem_snapshot().empty());
+  const obs::RunMemory m = obs::run_memory();
+  EXPECT_EQ(m.by_rank[0], 11u);
+  EXPECT_EQ(m.hwm, 11u);
 }
 
 TEST_F(MemRegistryTest, VecBytesTracksCapacity) {
@@ -107,61 +91,56 @@ TEST_F(MemRegistryTest, VecBytesTracksCapacity) {
 
 TEST_F(MemRegistryTest, RankSlotsMergeAcrossFourRanks) {
   obs::set_mem_enabled(true);
-  const obs::MemScopeId id = obs::mem_scope("test.merge");
   par::run(4, [&](par::Comm& c) {
-    obs::mem_set(id, static_cast<std::uint64_t>(c.rank() + 1) * 1000);
+    obs::mem_report(
+        {{"test.merge", static_cast<std::uint64_t>(c.rank() + 1) * 1000}});
   });
+  const obs::RunMemory m = obs::run_memory();
+  ASSERT_EQ(m.by_rank.size(), 4u);
   for (int r = 0; r < 4; ++r)
-    EXPECT_EQ(obs::mem_bytes(r, id),
+    EXPECT_EQ(m.by_rank[static_cast<std::size_t>(r)],
               static_cast<std::uint64_t>(r + 1) * 1000);
-  bool found = false;
-  for (const auto& [name, bytes] : obs::aggregate_mem()) {
-    if (name != "test.merge") continue;
-    EXPECT_EQ(bytes, 10000u);  // 1000 + 2000 + 3000 + 4000
-    found = true;
-  }
-  EXPECT_TRUE(found);
+  ASSERT_EQ(m.scopes.size(), 1u);
+  EXPECT_EQ(m.scopes[0].first, "test.merge");
+  EXPECT_EQ(m.scopes[0].second, 10000u);  // 1000 + 2000 + 3000 + 4000
 }
 
 TEST_F(MemRegistryTest, SlotsResetAtWorldBegin) {
   obs::set_mem_enabled(true);
-  const obs::MemScopeId id = obs::mem_scope("test.reset");
-  par::run(2, [&](par::Comm&) { obs::mem_set(id, 777); });
-  EXPECT_EQ(obs::mem_bytes(0, id), 777u);
-  par::run(2, [&](par::Comm& c) {
+  par::run(2, [&](par::Comm&) { obs::mem_report({{"test.reset", 777}}); });
+  EXPECT_EQ(obs::run_memory().by_rank[0], 777u);
+  par::run(2, [&](par::Comm&) {
     // A fresh world starts from a clean slate — no stale carry-over.
-    EXPECT_EQ(obs::mem_bytes(c.rank(), id), 0u);
+    EXPECT_TRUE(obs::mem_snapshot().empty());
+    EXPECT_EQ(obs::mem_hwm(), 0u);
   });
 }
 
 TEST_F(MemRegistryTest, DisabledRegistryIgnoresWrites) {
   obs::set_mem_enabled(false);
-  const obs::MemScopeId id = obs::mem_scope("test.disabled");
   par::run(1, [&](par::Comm&) {
-    obs::mem_set(id, 123);
-    obs::mem_add(id, 456);
+    obs::mem_report({{"test.disabled", 123}});
+    EXPECT_TRUE(obs::mem_snapshot().empty());
+    EXPECT_EQ(obs::mem_hwm(), 0u);
   });
-  EXPECT_EQ(obs::mem_bytes(0, id), 0u);
+  EXPECT_FALSE(obs::run_memory().available);
 }
 
 // ---- high-water marks --------------------------------------------------
 
-TEST_F(MemHwmTest, HwmAttributesPeakToInnermostPhase) {
+TEST_F(MemHwmTest, HwmIsRunningMaxOfReportedTotals) {
   obs::set_mem_enabled(true);
-  obs::set_enabled(true);  // phases need the trace ring
-  const obs::MemScopeId id = obs::mem_scope("test.hwmphase");
   par::run(1, [&](par::Comm&) {
-    obs::mem_set(id, 100);
-    {
-      OBS_PHASE_SPAN("test.spike");
-      obs::mem_set(id, 1u << 20);  // the peak happens inside the phase
-    }
-    obs::mem_set(id, 100);  // dropping back does not lower the HWM
+    obs::mem_report({{"test.a", 60}, {"test.b", 40}});
+    EXPECT_EQ(obs::mem_hwm(), 100u);
+    obs::mem_report({{"test.a", 1u << 20}});
+    EXPECT_EQ(obs::mem_hwm(), 1u << 20);
+    obs::mem_report({{"test.a", 100}});  // dropping back keeps the HWM
+    EXPECT_EQ(obs::mem_hwm(), 1u << 20);
   });
-  const obs::MemHwm hwm = obs::mem_hwm(0);
-  EXPECT_GE(hwm.bytes, 1u << 20);
-  ASSERT_NE(hwm.phase, nullptr);
-  EXPECT_STREQ(hwm.phase, "test.spike");
+  const obs::RunMemory m = obs::run_memory();
+  EXPECT_EQ(m.by_rank[0], 100u);
+  EXPECT_EQ(m.hwm, 1u << 20);
 }
 
 // ---- RSS sampling ------------------------------------------------------
@@ -185,12 +164,11 @@ TEST_F(MemRssTest, LinuxSampleIsOrderedWhenAvailable) {
 
 TEST_F(MemAnalysisTest, AnalyzeMemoryGathersRankStats) {
   obs::set_mem_enabled(true);
-  const obs::MemScopeId a = obs::mem_scope("alpha.main");
-  const obs::MemScopeId b = obs::mem_scope("beta.detail");
   obs::analysis::MemRecord rec;
   par::run(4, [&](par::Comm& c) {
-    obs::mem_set(a, static_cast<std::uint64_t>(c.rank() + 1) * 100);
-    obs::mem_set(b, 50);
+    obs::mem_report(
+        {{"alpha.main", static_cast<std::uint64_t>(c.rank() + 1) * 100},
+         {"beta.detail", 50}});
     obs::analysis::MemRecord r = obs::analysis::analyze_memory(c, 7);
     if (c.rank() == 0) rec = r;
     // The record is identical on every rank (drift decisions are made
@@ -209,7 +187,7 @@ TEST_F(MemAnalysisTest, AnalyzeMemoryGathersRankStats) {
   ASSERT_EQ(rec.acc_by_rank.size(), 4u);
   EXPECT_EQ(rec.acc_by_rank[0], 150u);
   EXPECT_EQ(rec.acc_by_rank[3], 450u);
-  EXPECT_GE(rec.acc_hwm_max, rec.acc_max);
+  EXPECT_EQ(rec.acc_hwm_max, 450u);  // worst rank's running maximum
   // Scope stats: "alpha.main" summed over ranks with the argmax rank.
   bool found_alpha = false;
   for (const auto& s : rec.scopes) {
@@ -240,7 +218,7 @@ TEST_F(MemAnalysisTest, MemoryJsonEmitsBlockAndCleanRssFallback) {
   obs::set_rss_unavailable_for_testing(true);
   obs::analysis::MemRecord rec;
   par::run(2, [&](par::Comm& c) {
-    obs::mem_set(obs::mem_scope("gamma.data"), 1 << 10);
+    obs::mem_report({{"gamma.data", 1 << 10}});
     obs::analysis::MemRecord r = obs::analysis::analyze_memory(c, 3);
     if (c.rank() == 0) rec = r;
   });

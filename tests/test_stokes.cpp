@@ -220,7 +220,6 @@ TEST(Picard, HierarchyCacheReusesSetupAcrossIterationsAndSolves) {
     EXPECT_EQ(cache.stats.full_setups, 1);
     EXPECT_EQ(cache.stats.numeric_refreshes,
               static_cast<std::int64_t>(r.iterations) - 1);
-    EXPECT_EQ(cache.stats.skipped, 0);
     ASSERT_EQ(r.iteration_timings.size(),
               static_cast<std::size_t>(r.iterations));
 
@@ -232,16 +231,6 @@ TEST(Picard, HierarchyCacheReusesSetupAcrossIterationsAndSolves) {
     EXPECT_EQ(cache.stats.full_setups, 1);
     EXPECT_EQ(cache.stats.numeric_refreshes,
               static_cast<std::int64_t>(r.iterations + rb.iterations) - 1);
-
-    // A large drift tolerance turns every reuse into a full skip.
-    cache.bump_epoch();
-    stokes::PicardOptions lazy = popt;
-    lazy.stokes.reuse.viscosity_drift_tol = 1e9;
-    stokes::PicardResult r2 = stokes::solve_nonlinear_stokes(
-        c, m, f.connectivity(), rhea::three_layer_yielding(yopt), t, x, lazy,
-        &cache);
-    EXPECT_EQ(cache.stats.full_setups, 2);
-    EXPECT_EQ(cache.stats.skipped, static_cast<std::int64_t>(r2.iterations) - 1);
 
     // Epoch bump invalidates: the next solve must rebuild from scratch.
     cache.bump_epoch();
