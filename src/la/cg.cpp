@@ -1,4 +1,5 @@
 #include <cmath>
+#include <initializer_list>
 #include <vector>
 
 #include "la/krylov.hpp"
@@ -15,50 +16,49 @@ SolveResult cg(const LinOp& op, std::span<const double> b,
   const std::size_t n = x.size();
   std::vector<double> r(n), z(n), p(n), ap(n);
   std::uint64_t syncs = 0;
-  const auto dot1 = [&](std::span<const double> u, std::span<const double> v) {
-    const DotPair pair{u, v};
-    double out = 0.0;
-    dots(std::span<const DotPair>(&pair, 1), std::span<double>(&out, 1));
+  // One global synchronization round for all of `pairs`.
+  const auto reduce = [&](std::initializer_list<DotPair> pairs,
+                          std::span<double> out) {
+    dots(std::span<const DotPair>(pairs.begin(), pairs.size()), out);
     ++syncs;
-    return out;
   };
-  const auto dot2 = [&](const DotPair& p0, const DotPair& p1, double& o0,
-                        double& o1) {
-    const DotPair pair[2] = {p0, p1};
-    double out[2] = {0.0, 0.0};
-    dots(std::span<const DotPair>(pair, 2), std::span<double>(out, 2));
-    ++syncs;
-    o0 = out[0];
-    o1 = out[1];
+  SolveResult res;
+  detail::ConvergenceMonitor mon(opt, res);
+  const auto done = [&] {
+    mon.finish();
+    obs::counter_add(obs::wellknown::cg_iterations(),
+                     static_cast<std::uint64_t>(res.iterations));
+    obs::counter_add(obs::wellknown::cg_syncs(), syncs);
+    return res;
   };
 
   op(x, ap);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
-  SolveResult res;
-  detail::ConvergenceMonitor mon(opt, res);
-  // <r,r> (initial norm) and <r,z> (first beta denominator) fuse into the
-  // single startup reduction.
+  // <r,r> (initial residual), <r,z> (first beta denominator) and <b,b>
+  // (the stopping norm) fuse into the single startup reduction.
   precond(r, z);
-  double rr0 = 0.0, rz = 0.0;
-  dot2({r, r}, {r, z}, rr0, rz);
-  if (!std::isfinite(rr0)) {
+  double start[3] = {0.0, 0.0, 0.0};
+  reduce({{r, r}, {r, z}, {b, b}}, start);
+  if (!std::isfinite(start[0]) || !std::isfinite(start[2])) {
     res.status = SolveStatus::kNonFinite;
-    mon.finish();
-    obs::counter_add(obs::wellknown::cg_syncs(), syncs);
-    return res;
+    return done();
   }
-  const double norm0 = std::sqrt(std::max(0.0, rr0));
-  if (norm0 == 0.0) {
+  const double rnorm0 = std::sqrt(std::max(0.0, start[0]));
+  double rz = start[1];
+  // A zero right-hand side has no scale of its own; measure against the
+  // initial residual instead.
+  const double bnorm = start[2] > 0.0 ? std::sqrt(start[2]) : rnorm0;
+  if (rnorm0 == 0.0 || rnorm0 / bnorm < opt.rtol) {
     res.status = SolveStatus::kConverged;
-    mon.finish();
-    obs::counter_add(obs::wellknown::cg_syncs(), syncs);
-    return res;
+    res.relative_residual = rnorm0 == 0.0 ? 0.0 : rnorm0 / bnorm;
+    return done();
   }
   std::copy(z.begin(), z.end(), p.begin());
 
   for (int j = 1; j <= opt.max_iterations; ++j) {
     op(p, ap);
-    const double pap = dot1(p, ap);  // sync 1 of the iteration
+    double pap = 0.0;
+    reduce({{p, ap}}, std::span<double>(&pap, 1));  // sync 1 of the iteration
     if (!std::isfinite(pap)) {
       res.status = SolveStatus::kNonFinite;
       break;
@@ -77,20 +77,17 @@ SolveResult cg(const LinOp& op, std::span<const double> b,
     // (converging) iteration this spends one preconditioner application
     // whose z is discarded — the price of dropping the third allreduce.
     precond(r, z);
-    double rr = 0.0, rz_new = 0.0;
-    dot2({r, r}, {r, z}, rr, rz_new);
+    double rr_rz[2] = {0.0, 0.0};
+    reduce({{r, r}, {r, z}}, rr_rz);
+    const double rr = rr_rz[0], rz_new = rr_rz[1];
     const double relres =
-        std::isfinite(rr) ? std::sqrt(std::max(0.0, rr)) / norm0 : rr;
+        std::isfinite(rr) ? std::sqrt(std::max(0.0, rr)) / bnorm : rr;
     if (!mon.update(j, relres)) break;
     const double beta = rz_new / rz;
     rz = rz_new;
     for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
   }
-  mon.finish();
-  obs::counter_add(obs::wellknown::cg_iterations(),
-                   static_cast<std::uint64_t>(res.iterations));
-  obs::counter_add(obs::wellknown::cg_syncs(), syncs);
-  return res;
+  return done();
 }
 
 }  // namespace alps::la

@@ -10,6 +10,15 @@
 // per-iteration relative-residual history ring for telemetry and the
 // flight recorder. Non-finite residuals terminate the iteration
 // immediately instead of silently spinning to max_iterations.
+//
+// Stopping rule (DESIGN.md §8): both solvers measure the residual against
+// the right-hand side, never against the initial guess's residual, so a
+// better warm start starts closer to a fixed bar. MINRES stops when
+// ||b - A x||_M / ||b||_M < rtol, with ||y||_M = sqrt(<M y, y>) in the
+// preconditioner's norm; CG stops when ||b - A x||_2 / ||b||_2 < rtol.
+// A warm start that already meets the rule returns with 0 iterations. A
+// zero right-hand side has no scale of its own, so there the initial
+// residual stands in for ||b||.
 
 #include <cstdint>
 #include <functional>
@@ -66,6 +75,8 @@ const char* to_string(SolveStatus s);
 
 struct SolveResult {
   int iterations = 0;
+  /// The stopping rule's ratio at exit: ||r||_M / ||b||_M for MINRES (its
+  /// Givens recurrence estimate), ||r||_2 / ||b||_2 for CG.
   double relative_residual = 0.0;
   bool converged = false;  // == (status == SolveStatus::kConverged)
   SolveStatus status = SolveStatus::kMaxIterations;
@@ -151,8 +162,10 @@ class ConvergenceMonitor {
 /// Preconditioned MINRES (Paige & Saunders; implementation follows Elman,
 /// Silvester & Wathen). `precond` must be SPD; pass identity for none.
 /// On entry x is the initial guess; on exit the approximate solution.
-/// Issues 2 global synchronization rounds per iteration through `dots`
-/// (counted in the "comm.sync.minres" obs counter).
+/// Stops on ||r||_M / ||b||_M < rtol; the extra preconditioner application
+/// for ||b||_M shares the one startup reduction with the initial residual,
+/// so a solve issues exactly 1 + 2 * iterations global synchronization
+/// rounds through `dots` (counted in the "comm.sync.minres" obs counter).
 SolveResult minres(const LinOp& op, std::span<const double> b,
                    std::span<double> x, const LinOp& precond,
                    const MultiDotFn& dots, const KrylovOptions& opt);
@@ -162,10 +175,12 @@ inline SolveResult minres(const LinOp& op, std::span<const double> b,
   return minres(op, b, x, precond, multi_dot_from(dot), opt);
 }
 
-/// Preconditioned conjugate gradients for SPD systems. The two dot
-/// products following the preconditioner application — <r,r> for the
-/// convergence test and <r,z> for beta — fuse into one reduction, so an
-/// iteration costs 2 global syncs ("comm.sync.cg") instead of 3.
+/// Preconditioned conjugate gradients for SPD systems. Stops on
+/// ||r||_2 / ||b||_2 < rtol. The two dot products following the
+/// preconditioner application — <r,r> for the convergence test and <r,z>
+/// for beta — fuse into one reduction, and <b,b> joins the startup one,
+/// so a solve costs exactly 1 + 2 * iterations global syncs
+/// ("comm.sync.cg") instead of 3 per iteration.
 SolveResult cg(const LinOp& op, std::span<const double> b,
                std::span<double> x, const LinOp& precond,
                const MultiDotFn& dots, const KrylovOptions& opt);

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <initializer_list>
 #include <vector>
 
 #include "la/krylov.hpp"
@@ -16,38 +17,52 @@ SolveResult minres(const LinOp& op, std::span<const double> b,
   std::vector<double> v(n), v_old(n, 0.0), v_new(n), z(n), z_new(n);
   std::vector<double> w(n, 0.0), w_old(n, 0.0), w_new(n), az(n);
   std::uint64_t syncs = 0;
+  // One global synchronization round for all of `pairs`.
+  const auto reduce = [&](std::initializer_list<DotPair> pairs,
+                          std::span<double> out) {
+    dots(std::span<const DotPair>(pairs.begin(), pairs.size()), out);
+    ++syncs;
+  };
   // The Lanczos recurrence's two inner products sit on opposite sides of
   // the preconditioner application, so they cannot fuse; MINRES runs at
   // exactly 2 synchronization rounds per iteration (the residual estimate
   // comes from the Givens recurrence, not a third dot).
   const auto dot = [&](std::span<const double> a2, std::span<const double> b2) {
-    const DotPair pair{a2, b2};
     double out = 0.0;
-    dots(std::span<const DotPair>(&pair, 1), std::span<double>(&out, 1));
-    ++syncs;
+    reduce({{a2, b2}}, std::span<double>(&out, 1));
     return out;
   };
+  SolveResult res;
+  detail::ConvergenceMonitor mon(opt, res);
+  const auto done = [&] {
+    mon.finish();
+    obs::counter_add(obs::wellknown::minres_iterations(),
+                     static_cast<std::uint64_t>(res.iterations));
+    obs::counter_add(obs::wellknown::minres_syncs(), syncs);
+    return res;
+  };
 
-  // v1 = b - A x0, z1 = M v1.
+  // v1 = b - A x0, z1 = M v1. The stopping norm ||b||_M = sqrt(<M b, b>)
+  // takes one more preconditioner application (into z_new, free until the
+  // first iteration) and rides in the startup reduction with <z1, v1>.
   op(x, az);
   for (std::size_t i = 0; i < n; ++i) v[i] = b[i] - az[i];
   precond(v, z);
-  SolveResult res;
-  detail::ConvergenceMonitor mon(opt, res);
-  const double zv0 = dot(z, v);
-  if (!std::isfinite(zv0)) {
+  precond(b, z_new);
+  double start[2] = {0.0, 0.0};
+  reduce({{z, v}, {z_new, b}}, start);
+  if (!std::isfinite(start[0]) || !std::isfinite(start[1])) {
     res.status = SolveStatus::kNonFinite;
-    mon.finish();
-    obs::counter_add(obs::wellknown::minres_syncs(), syncs);
-    return res;
+    return done();
   }
-  double gamma = std::sqrt(std::max(0.0, zv0));
-  const double norm0 = gamma;
-  if (norm0 == 0.0) {
+  double gamma = std::sqrt(std::max(0.0, start[0]));
+  // A zero right-hand side has no scale of its own; measure against the
+  // initial residual instead.
+  const double bnorm = start[1] > 0.0 ? std::sqrt(start[1]) : gamma;
+  if (gamma == 0.0 || gamma / bnorm < opt.rtol) {
     res.status = SolveStatus::kConverged;
-    mon.finish();
-    obs::counter_add(obs::wellknown::minres_syncs(), syncs);
-    return res;
+    res.relative_residual = gamma == 0.0 ? 0.0 : gamma / bnorm;
+    return done();
   }
 
   double gamma_old = 1.0, eta = gamma;
@@ -101,18 +116,14 @@ SolveResult minres(const LinOp& op, std::span<const double> b,
     gamma_old = gamma;
     gamma = gamma_new;
 
-    if (!mon.update(j, std::abs(eta) / norm0)) break;
+    if (!mon.update(j, std::abs(eta) / bnorm)) break;
     if (gamma == 0.0) {  // exact solution reached
       res.status = SolveStatus::kConverged;
       res.relative_residual = 0.0;
       break;
     }
   }
-  mon.finish();
-  obs::counter_add(obs::wellknown::minres_iterations(),
-                   static_cast<std::uint64_t>(res.iterations));
-  obs::counter_add(obs::wellknown::minres_syncs(), syncs);
-  return res;
+  return done();
 }
 
 }  // namespace alps::la

@@ -65,7 +65,7 @@ struct ServeState {
       std::chrono::steady_clock::now();
   std::atomic<long> target_steps{-1};
   std::atomic<int> stagnation_limit{3};
-  int consecutive_stagnated = 0;
+  int consecutive_unconverged = 0;
   std::atomic<bool> marked_unhealthy{false};
   std::string marked_reason;  // under pub_mtx
 };
@@ -265,13 +265,11 @@ void metrics_publish(const MetricsSnapshot& snap) {
   if (target >= 0 && rate > 0)
     eta = target > snap.step ? (target - snap.step) / rate : 0.0;
 
-  // Stagnation tracking: consecutive steps whose last solve made no
-  // progress.
+  // Convergence tracking: consecutive steps whose last solve did not
+  // converge, whatever the reason (la::to_string's tokens).
   if (!snap.solves.empty()) {
-    const std::string& status = snap.solves.back().status;
-    const bool bad = status == "stagnated" || status == "diverged" ||
-                     status == "nonfinite";
-    s.consecutive_stagnated = bad ? s.consecutive_stagnated + 1 : 0;
+    const bool bad = snap.solves.back().status != "converged";
+    s.consecutive_unconverged = bad ? s.consecutive_unconverged + 1 : 0;
   }
 
   MetricsSnapshot eff = snap;
@@ -279,11 +277,11 @@ void metrics_publish(const MetricsSnapshot& snap) {
     eff.healthy = false;
     if (eff.health_reason.empty()) eff.health_reason = s.marked_reason;
   }
-  if (s.consecutive_stagnated >= s.stagnation_limit.load()) {
+  if (s.consecutive_unconverged >= s.stagnation_limit.load()) {
     eff.healthy = false;
     if (eff.health_reason.empty())
-      eff.health_reason = "stagnated_solves=" +
-                          std::to_string(s.consecutive_stagnated);
+      eff.health_reason = "unconverged_solves=" +
+                          std::to_string(s.consecutive_unconverged);
   }
 
   const int c = s.cur.load();
@@ -333,7 +331,7 @@ void metrics_reset_for_testing() {
   // this with the server stopped (or between their own requests).
   s.cur.store(-1);
   s.window.clear();
-  s.consecutive_stagnated = 0;
+  s.consecutive_unconverged = 0;
   s.marked_unhealthy.store(false);
   s.marked_reason.clear();
   s.target_steps.store(-1);

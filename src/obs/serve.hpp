@@ -48,7 +48,7 @@ struct MetricsSnapshot {
   double partition_imbalance = 1;
   double cp_imbalance = 1;
   // This step's Stokes solves, one row per Picard iteration; empty on
-  // steps that only advanced energy (stagnation tracking ignores those,
+  // steps that only advanced energy (convergence tracking ignores those,
   // and the Prometheus solver gauges report the last row).
   std::vector<SolveRow> solves;
   int picard_iterations = 0;
@@ -84,12 +84,13 @@ bool serve_active();
 int serve_port();
 
 /// Render and atomically publish `snap`; the server thread picks it up
-/// on the next request. Also feeds the ETA window and the stagnation
+/// on the next request. Also feeds the ETA window and the convergence
 /// tracker. Call from one thread (rank 0 of the step loop).
 void metrics_publish(const MetricsSnapshot& snap);
 /// Total steps this run intends to take (-1 = unknown): the ETA target.
 void metrics_set_target_steps(long steps);
-/// Consecutive non-converged ("stagnated"/"diverged"/"nonfinite") solves
+/// Consecutive steps whose last solve did not converge (any status but
+/// "converged": "max_iterations", "stagnated", "diverged", "non_finite")
 /// after which /healthz flips to 503. Returns the previous limit.
 int metrics_set_stagnation_limit(int n);
 /// Sticky kill switch: flips /healthz to 503 immediately (sentinel and
@@ -100,7 +101,7 @@ void metrics_mark_unhealthy(const std::string& reason);
 /// observe the 503 before the process exits. Returns immediately
 /// otherwise.
 void metrics_linger_if_unhealthy();
-/// Clear the sticky unhealthy mark, the stagnation run, the ETA window
+/// Clear the sticky unhealthy mark, the unconverged run, the ETA window
 /// and any published snapshot. Tests only: real runs never recover.
 void metrics_reset_for_testing();
 

@@ -184,14 +184,16 @@ void json_memory(TelemetryRecord& w, const char* key, const RunMemory& m) {
     w.obj_close();
     return;
   }
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : m.by_rank) total += b;
-  w.obj_open("accounted").arr_open("by_rank");
-  for (const std::uint64_t b : m.by_rank) w.field(nullptr, b);
-  w.arr_close()
-      .field("total_bytes", total)
-      .field("hwm_bytes", m.hwm)
-      .obj_close();
+  if (m.hwm > 0) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t b : m.by_rank) total += b;
+    w.obj_open("accounted").arr_open("by_rank");
+    for (const std::uint64_t b : m.by_rank) w.field(nullptr, b);
+    w.arr_close()
+        .field("total_bytes", total)
+        .field("hwm_bytes", m.hwm)
+        .obj_close();
+  }
   w.obj_open("rss").field("available", m.rss.available);
   if (m.rss.available)
     w.field("rss_bytes", m.rss.rss_bytes)

@@ -129,7 +129,9 @@ void json_latency_row(TelemetryRecord& w, const std::string& phase,
 /// block): {"available":false}, or {"available":true,"accounted":{
 /// "by_rank","total_bytes","hwm_bytes"},"rss":{..},"scopes":
 /// {name:bytes}} where rss is {"available":false} or {"available":true,
-/// "rss_bytes","hwm_bytes","peak_bytes","peak_phase"}.
+/// "rss_bytes","hwm_bytes","peak_bytes","peak_phase"}. "accounted" is
+/// left out until some rank has reported a non-empty mem_report table
+/// (m.hwm > 0): all-zero rows would only say that nothing reported.
 void json_memory(TelemetryRecord& w, const char* key, const RunMemory& m);
 
 /// One Krylov solve of a Picard iteration.

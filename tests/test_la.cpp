@@ -165,6 +165,89 @@ TEST(Cg, JacobiPreconditioningReducesIterations) {
   EXPECT_LE(prec.iterations, plain.iterations);
 }
 
+TEST(Cg, WarmStartAtSolutionReturnsImmediately) {
+  // The stopping rule measures against ||b||, not the initial residual, so
+  // restarting from a converged answer at the same rtol has nothing to do.
+  // A random RHS: with a smooth one CG on the 1d Laplacian ends at an
+  // exactly zero residual, which any rule accepts.
+  Csr a = laplace_1d(100);
+  std::mt19937 rng(3);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  std::vector<double> b(100), x(100, 0.0);
+  for (double& v : b) v = val(rng);
+  KrylovOptions opt;
+  opt.rtol = 1e-8;
+  const SolveResult cold = cg(matrix_op(a), b, x, identity_op(), serial_dot(), opt);
+  ASSERT_TRUE(cold.converged);
+  ASSERT_GT(cold.iterations, 10);
+  const std::vector<double> x_cold = x;
+  const SolveResult warm = cg(matrix_op(a), b, x, identity_op(), serial_dot(), opt);
+  EXPECT_TRUE(warm.converged);
+  EXPECT_EQ(warm.iterations, 0);
+  EXPECT_LT(warm.relative_residual, opt.rtol);
+  EXPECT_EQ(x, x_cold);
+}
+
+/// SPD diagonal preconditioner whose weights span two decades, so the
+/// preconditioner norm differs from the 2-norm.
+LinOp spread_diagonal_precond() {
+  return [](std::span<const double> x, std::span<double> y) {
+    for (std::size_t i = 0; i < x.size(); ++i)
+      y[i] = x[i] * (0.1 + 9.9 * static_cast<double>(i % 7) / 6.0);
+  };
+}
+
+TEST(Minres, WarmStartAtSolutionReturnsImmediately) {
+  Csr a = laplace_1d(100);
+  std::vector<double> b(100, 1.0), x(100, 0.0);
+  KrylovOptions opt;
+  opt.rtol = 1e-8;
+  opt.max_iterations = 500;
+  const LinOp pre = spread_diagonal_precond();
+  const SolveResult cold = minres(matrix_op(a), b, x, pre, serial_dot(), opt);
+  ASSERT_TRUE(cold.converged);
+  ASSERT_GT(cold.iterations, 10);
+  const std::vector<double> x_cold = x;
+  const SolveResult warm = minres(matrix_op(a), b, x, pre, serial_dot(), opt);
+  EXPECT_TRUE(warm.converged);
+  EXPECT_EQ(warm.iterations, 0);
+  EXPECT_LT(warm.relative_residual, opt.rtol);
+  EXPECT_EQ(x, x_cold);
+}
+
+TEST(Minres, RelativeResidualIsAgainstPreconditionedRhs) {
+  // A nonzero initial guess makes ||r0||_M differ from ||b||_M, so this
+  // tells the two denominators apart.
+  const std::size_t n = 100;
+  Csr a = laplace_1d(static_cast<std::int64_t>(n));
+  std::vector<double> b(n), x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = 1.0 + std::sin(0.3 * static_cast<double>(i));
+    x[i] = 50.0 * std::cos(0.1 * static_cast<double>(i));
+  }
+  const LinOp pre = spread_diagonal_precond();
+  const auto m_norm = [&pre](const std::vector<double>& v) {
+    std::vector<double> mv(v.size());
+    pre(v, mv);
+    return std::sqrt(local_dot(mv, v));
+  };
+  KrylovOptions opt;
+  opt.rtol = 1e-6;
+  opt.max_iterations = 500;
+  const SolveResult r = minres(matrix_op(a), b, x, pre, serial_dot(), opt);
+  ASSERT_TRUE(r.converged);
+  ASSERT_GT(r.iterations, 0);
+  std::vector<double> res(n);
+  a.matvec(x, res);
+  for (std::size_t i = 0; i < n; ++i) res[i] = b[i] - res[i];
+  const double expected = m_norm(res) / m_norm(b);
+  // The Givens recurrence tracks the true preconditioned residual to
+  // rounding: 1% of the ratio is far looser than the drift and far
+  // tighter than the initial guess's residual is away from ||b||_M.
+  EXPECT_NEAR(r.relative_residual, expected, 1e-2 * expected);
+  EXPECT_LT(expected, opt.rtol);
+}
+
 TEST(Minres, SolvesSpdSystem) {
   const std::int64_t n = 100;
   Csr a = laplace_1d(n);

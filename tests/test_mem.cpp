@@ -116,6 +116,28 @@ TEST_F(MemRegistryTest, SlotsResetAtWorldBegin) {
   });
 }
 
+TEST_F(MemRegistryTest, RunMemoryBlockOmitsAccountedUntilSomeRankReports) {
+  obs::set_mem_enabled(true);
+  const auto encode = [] {
+    obs::TelemetryRecord w;
+    obs::json_memory(w, "memory", obs::run_memory());
+    return w.json();
+  };
+  par::run(2, [&](par::Comm&) {});
+  const std::string silent = encode();
+  EXPECT_EQ(silent.find("\"accounted\""), std::string::npos) << silent;
+  EXPECT_NE(silent.find("\"rss\""), std::string::npos) << silent;
+  EXPECT_NE(silent.find("\"scopes\""), std::string::npos) << silent;
+  par::run(2, [&](par::Comm& c) {
+    if (c.rank() == 1) obs::mem_report({{"test.reported", 64}});
+  });
+  const std::string reported = encode();
+  EXPECT_NE(reported.find("\"accounted\":{\"by_rank\":[0,64],"
+                          "\"total_bytes\":64,\"hwm_bytes\":64}"),
+            std::string::npos)
+      << reported;
+}
+
 TEST_F(MemRegistryTest, DisabledRegistryIgnoresWrites) {
   obs::set_mem_enabled(false);
   par::run(1, [&](par::Comm&) {

@@ -36,7 +36,12 @@ namespace {
 
 class ServeTest : public ::testing::Test {
  protected:
-  void SetUp() override { obs::set_analysis_enabled(true); }
+  void SetUp() override {
+    // A sentinel trip in an earlier test of the same process (the flight
+    // recorder tests) leaves the sticky unhealthy mark set.
+    obs::metrics_reset_for_testing();
+    obs::set_analysis_enabled(true);
+  }
   void TearDown() override {
     obs::serve_stop();
     obs::metrics_reset_for_testing();
@@ -436,7 +441,7 @@ TEST_F(ServeTest, HealthzFlipsTo503OnStagnationAndStickyMark) {
   obs::metrics_publish(snap);  // third consecutive: trip
   const std::string r = http_get(port, "/healthz");
   EXPECT_NE(r.find("503"), std::string::npos);
-  EXPECT_NE(r.find("stagnated_solves=3"), std::string::npos);
+  EXPECT_NE(r.find("unconverged_solves=3"), std::string::npos);
 
   // One good solve clears the run...
   snap.solves.back().status = "converged";
@@ -453,6 +458,37 @@ TEST_F(ServeTest, HealthzFlipsTo503OnStagnationAndStickyMark) {
   EXPECT_NE(http_get(port, "/metrics").find("alps_healthy 0"),
             std::string::npos);
 }
+
+TEST_F(ServeTest, HealthzCountsEveryUnconvergedStatus) {
+  // la::to_string's tokens: every status but "converged" counts toward
+  // the limit, and a converged last solve resets the run.
+  const int port = obs::serve_start(0);
+  ASSERT_GT(port, 0);
+  obs::metrics_set_stagnation_limit(3);
+  obs::MetricsSnapshot snap = sample_snapshot();
+  for (const char* status : {la::to_string(la::SolveStatus::kNonFinite),
+                             la::to_string(la::SolveStatus::kMaxIterations)}) {
+    SCOPED_TRACE(status);
+    snap.solves.back().status = status;
+    for (int i = 0; i < 2; ++i) obs::metrics_publish(snap);
+    EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
+    obs::metrics_publish(snap);  // third consecutive: trip
+    const std::string r = http_get(port, "/healthz");
+    EXPECT_NE(r.find("503"), std::string::npos);
+    EXPECT_NE(r.find("unconverged_solves=3"), std::string::npos);
+
+    // A converged last solve resets the count.
+    snap.solves.back().status = la::to_string(la::SolveStatus::kConverged);
+    obs::metrics_publish(snap);
+    EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
+  }
+  // Only the last row counts: earlier unconverged Picard solves of a
+  // step whose last solve converged do not.
+  snap.solves.front().status = "max_iterations";
+  for (int i = 0; i < 3; ++i) obs::metrics_publish(snap);
+  EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
+}
+
 TEST_F(ServeTest, StatusPublishesStepsWhenWaitAnalysisIsOff) {
   // ALPS_ANALYSIS=0 only turns off the wait-state clock reads; the step
   // report's exchange still runs for the endpoint, so /status advances.
