@@ -83,10 +83,9 @@ void Reporter::snapshot_obs(const std::string& label) {
   s.label = label;
   s.phases = alps::obs::aggregate_phases();
   s.counters = alps::obs::aggregate_counters();
-  s.analysis = alps::obs::analysis::summarize(alps::obs::analysis::step_records());
-  alps::obs::analysis::reset_records();
   s.latency = alps::obs::aggregate_hists();
-  s.memory = alps::obs::run_memory();
+  s.memory = alps::obs::analysis::memory_json(
+      alps::obs::analysis::last_memory(), 0);
   snaps_.push_back(std::move(s));
 }
 
@@ -96,20 +95,13 @@ void Reporter::save(const std::string& path) {
     j_.obj_open().field("label", s.label);
     alps::obs::json_phases(j_, "phases", s.phases);
     alps::obs::json_counters(j_, "counters", s.counters);
-    if (s.analysis.steps > 0) {
-      j_.field("analysis_steps", s.analysis.steps);
-      j_.field_json("critical_path",
-                    alps::obs::analysis::critical_path_json(s.analysis));
-      j_.field_json("wait_states",
-                    alps::obs::analysis::wait_states_json(s.analysis));
-    }
     if (!s.latency.empty()) {
       j_.arr_open("latency");
       for (const auto& [name, h] : s.latency)
         alps::obs::json_latency_row(j_, name, h);
       j_.arr_close();
     }
-    alps::obs::json_memory(j_, "memory", s.memory);
+    j_.field_json("memory", s.memory);
     j_.obj_close();
   }
   j_.arr_close();

@@ -14,7 +14,6 @@
 #include "mesh/mesh.hpp"
 #include "obs/analysis.hpp"
 #include "obs/histogram.hpp"
-#include "obs/mem.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
 #include "par/runtime.hpp"
@@ -55,12 +54,10 @@ class Reporter {
   alps::obs::TelemetryRecord& json() { return j_; }
 
   /// Capture the obs aggregates of the most recent par::run under `label`:
-  /// phase breakdowns, merged counters, the wait-state / critical-path
-  /// roll-up of every analyze_step the run performed, cross-rank latency
-  /// histograms (per-phase count / sum / p50 / p95 / p99 / max rows), and
-  /// the run memory block (obs/mem.hpp).
-  /// The analysis step records are consumed
-  /// (reset) so the next snapshot only sees its own run.
+  /// phase breakdowns, merged counters, cross-rank latency histograms
+  /// (per-phase count / sum / p50 / p95 / p99 / max rows), and the memory
+  /// block of the run's last analyze_memory record ({"available":false}
+  /// when the run made none).
   void snapshot_obs(const std::string& label);
 
   /// Append the obs snapshots and write the file.
@@ -71,11 +68,10 @@ class Reporter {
     std::string label;
     std::vector<alps::obs::PhaseBreakdown> phases;
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    alps::obs::analysis::RunSummary analysis;
     // Cross-rank merged duration histograms (obs/histogram.hpp): one
     // percentile row per recorded phase in the JSON output.
     std::vector<std::pair<std::string, alps::obs::Histogram>> latency;
-    alps::obs::RunMemory memory;
+    std::string memory;  // analysis::memory_json of the run's last record
   };
   alps::obs::TelemetryRecord j_;
   std::vector<Snapshot> snaps_;

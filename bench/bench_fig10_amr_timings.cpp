@@ -3,7 +3,7 @@
 // paper). Paper: AMR time is < 1% of solve time at every scale. Runs at
 // P = 2 and reports the cross-rank min/median/max/imbalance of every
 // phase from the obs aggregator — the per-rank spread is exactly what the
-// paper's per-function tables summarize.
+// paper's per-function tables condense.
 
 #include <cmath>
 

@@ -7,12 +7,11 @@
 // matrices), while surface terms (halo, ghost plans) shrink per dof.
 // scripts/check_bench.py gates CI on the highest-vs-lowest bytes/dof
 // ratio of the total and of every subsystem that carries a significant
-// share of the footprint. Results go to BENCH_memory.json.
+// share of the footprint. Results go to BENCH_memory.json, one case per
+// level carrying the telemetry memory block (analysis::memory_json).
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 
 #include "amg/dist_amg.hpp"
 #include "bench_common.hpp"
@@ -102,31 +101,10 @@ int main(int argc, char** argv) {
 
     json.obj_open()
         .field("level", level)
-        .field("ranks", p)
         .field("n_elements", n_elements)
         .field("n_dof", n_dof)
-        .field("accounted_bytes", mrec.acc_total)
-        .field("accounted_max_rank_bytes", mrec.acc_max)
-        .field("imbalance", mrec.acc_imbalance)
-        .field("bytes_per_dof", bpd);
-    json.arr_open("subsystems");
-    for (const auto& s : mrec.subsystems) {
-      json.obj_open()
-          .field("name", s.scope)
-          .field("bytes", s.total)
-          .field("max_bytes", s.max)
-          .field("argmax_rank", s.argmax);
-      if (n_dof > 0)
-        json.field("bytes_per_dof",
-                   static_cast<double>(s.total) / static_cast<double>(n_dof));
-      json.obj_close();
-    }
-    json.arr_close();
-    json.obj_open("rss").field("available", mrec.rss_available);
-    if (mrec.rss_available)
-      json.field("max_bytes", mrec.rss_max).field("hwm_bytes", mrec.rss_hwm_max);
-    json.obj_close();
-    json.obj_close();
+        .field_json("memory", obs::analysis::memory_json(mrec, n_dof))
+        .obj_close();
     report.snapshot_obs("memory_level" + std::to_string(level));
   }
 

@@ -25,8 +25,9 @@ strictly positive fraction of elements via the incremental path
 (> --min-reuse) without falling back; and the reported AMR share of
 the full step time must be finite.
 
-bench_memory (cases[].bytes_per_dof): accounted memory per dof must not
-grow with refinement level — the paper's memory-per-core-bounded claim.
+bench_memory (cases[].memory, the telemetry memory block written by
+obs::analysis::memory_json): accounted memory per dof must not grow with
+refinement level — the paper's memory-per-core-bounded claim.
 Fails when the highest level's bytes/dof exceeds --max-mem-ratio times
 the lowest level's, for the total and for every subsystem that carries
 at least --min-mem-share of the highest level's footprint (fixed-size
@@ -162,37 +163,39 @@ def check_amr(data, args) -> int:
 
 def check_memory(data, args) -> int:
     cases = [c for c in data.get("cases", [])
-             if "bytes_per_dof" in c and "level" in c]
+             if "bytes_per_dof" in c.get("memory", {}) and "level" in c]
     if len(cases) < 2:
         print(f"check_bench: need at least two levels, got {len(cases)}")
         return 1
     cases.sort(key=lambda c: c["level"])
     ok = True
     for c in cases:
-        if c.get("n_dof", 0) <= 0 or c.get("accounted_bytes", 0) <= 0:
+        mem = c["memory"]
+        acc = mem.get("accounted", {})
+        total = acc.get("total_bytes", 0)
+        if c.get("n_dof", 0) <= 0 or total <= 0:
             print(f"check_bench: FAIL level {c['level']}: empty accounting "
-                  f"(n_dof={c.get('n_dof')}, "
-                  f"accounted_bytes={c.get('accounted_bytes')})")
+                  f"(n_dof={c.get('n_dof')}, total_bytes={total})")
             ok = False
-        print(f"  level {c['level']}: {c['bytes_per_dof']:.1f} bytes/dof "
-              f"(n_dof={c.get('n_dof', '?')}, "
-              f"accounted={c.get('accounted_bytes', 0)}, "
-              f"imbalance={c.get('imbalance', 0):.3f})")
+        print(f"  level {c['level']}: {mem['bytes_per_dof']:.1f} bytes/dof "
+              f"(n_dof={c.get('n_dof', '?')}, accounted={total}, "
+              f"imbalance={acc.get('imbalance', 0):.3f})")
 
-    lo, hi = cases[0], cases[-1]
+    lo, hi = cases[0]["memory"], cases[-1]["memory"]
+    lo_level, hi_level = cases[0]["level"], cases[-1]["level"]
     if lo["bytes_per_dof"] <= 0:
         print("check_bench: lowest-level bytes_per_dof is not positive")
         return 1
     ratio = hi["bytes_per_dof"] / lo["bytes_per_dof"]
     verdict = "PASS" if ratio <= args.max_mem_ratio else "FAIL"
-    print(f"check_bench: level {hi['level']} vs level {lo['level']} total "
+    print(f"check_bench: level {hi_level} vs level {lo_level} total "
           f"bytes/dof ratio = {ratio:.2f} "
           f"(max allowed {args.max_mem_ratio:.2f}): {verdict}")
     ok = ok and ratio <= args.max_mem_ratio
 
-    def sub_bpd(case):
+    def sub_bpd(mem):
         return {s["name"]: s.get("bytes_per_dof", 0.0)
-                for s in case.get("subsystems", [])}
+                for s in mem.get("subsystems", [])}
 
     hi_total = sum(s.get("bytes", 0) for s in hi.get("subsystems", []))
     lo_sub, hi_sub = sub_bpd(lo), sub_bpd(hi)
@@ -202,7 +205,7 @@ def check_memory(data, args) -> int:
         if share < args.min_mem_share:
             continue  # too small to gate; noise and fixed overheads
         if name not in lo_sub or lo_sub[name] <= 0:
-            print(f"  subsystem {name}: new at level {hi['level']} "
+            print(f"  subsystem {name}: new at level {hi_level} "
                   f"({share:.0%} share) — no baseline, skipped")
             continue
         r = hi_sub[name] / lo_sub[name]
@@ -259,7 +262,7 @@ def main() -> int:
         return check_apply(data, args)
     if any("setup_ns_per_nnz" in c for c in cases):
         return check_amg_setup(data, args)
-    if any("bytes_per_dof" in c for c in cases):
+    if any("memory" in c for c in cases):
         return check_memory(data, args)
     print(f"check_bench: unrecognized schema in {args.bench_json}")
     return 1

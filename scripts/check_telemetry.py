@@ -43,8 +43,12 @@ JSONL mode (default):
 
 Bundle mode (--dump-dir DIR): the flight-recorder layout written by
 obs::panic_dump is present and parses — reason.txt (non-empty),
-trace.json / counters.json / phases.json / residuals.json / memory.json
-(valid JSON), telemetry_tail.jsonl (every line a JSON object).
+trace.json / counters.json / phases.json / residuals.json (valid JSON),
+telemetry_tail.jsonl (every line passes the record checks above, except
+that the physics diagnostics may be null, as a non-finite value is
+written; the tail may be empty but never malformed) and memory.json (the
+memory block checks above, with the high-water marks continuing from the
+tail's).
 
 Usage:
   check_telemetry.py rhea_telemetry.jsonl --min-records 4
@@ -59,10 +63,10 @@ import math
 import os
 import sys
 
+PHYSICS = ["nusselt", "v_rms", "t_min", "t_max", "t_mean"]
 REQUIRED = [
     "step", "time", "dt", "elements", "dofs", "partition_imbalance",
-    "nusselt", "v_rms", "t_min", "t_max", "t_mean",
-]
+] + PHYSICS
 
 
 def fail(msg: str) -> None:
@@ -301,94 +305,120 @@ def check_analysis_blocks(rec, where, ranks) -> set:
     return blamed
 
 
-def check_jsonl(path: str, args) -> None:
+class RecordState:
+    """What the record checks carry from one record to the next."""
+
+    def __init__(self):
+        self.prev_step = None
+        self.prev_time = None
+        self.hwm = {}
+        self.mem = self.timings = self.latency = self.analyzed = 0
+        self.blamed = set()
+
+
+def check_record(line, where, args, st, dying=False) -> None:
+    """Validate one telemetry line; st carries the cross-record state.
+    A dying run's records (the flight-recorder tail) may carry null
+    physics diagnostics: the writer turns non-finite values into null."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as e:
+        fail(f"{where}: not valid JSON: {e}")
+    if not isinstance(rec, dict):
+        fail(f"{where}: record is not a JSON object")
+    for key in REQUIRED:
+        if key not in rec:
+            fail(f"{where}: missing required key \"{key}\"")
+        v = rec[key]
+        if dying and key in PHYSICS and v is None:
+            continue
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            fail(f"{where}: \"{key}\" is not numeric: {v!r}")
+        if not math.isfinite(v):
+            fail(f"{where}: \"{key}\" is not finite: {v!r}")
+    if st.prev_step is not None and rec["step"] <= st.prev_step:
+        fail(f"{where}: step {rec['step']} not strictly increasing "
+             f"(previous {st.prev_step})")
+    if st.prev_time is not None and rec["time"] < st.prev_time:
+        fail(f"{where}: time {rec['time']} decreased "
+             f"(previous {st.prev_time})")
+    if rec["dt"] <= 0:
+        fail(f"{where}: dt {rec['dt']} is not positive")
+    per_level = rec.get("per_level")
+    if per_level is not None:
+        if (not isinstance(per_level, list)
+                or any(not isinstance(n, int) or n < 0 for n in per_level)):
+            fail(f"{where}: \"per_level\" is not a list of "
+                 f"non-negative ints")
+        if sum(per_level) != rec["elements"]:
+            fail(f"{where}: per_level sums to {sum(per_level)}, "
+                 f"elements says {rec['elements']}")
+    if "memory" in rec:
+        check_memory_block(rec["memory"], where, st.hwm)
+        st.mem += 1
+    if "timings" in rec:
+        check_timings_block(rec["timings"], where)
+        st.timings += 1
+    if "latency" in rec:
+        check_latency_block(rec["latency"], where)
+        st.latency += 1
+    check_solver_fields(rec, where)
+    blocks = [k for k in ("critical_path", "wait_states") if k in rec]
+    if blocks or args.min_steps is not None:
+        if len(blocks) != 2:
+            fail(f"{where}: step {rec['step']} needs both "
+                 f"critical_path and wait_states, has {blocks}")
+        ranks = args.ranks if args.ranks > 0 else rec.get("ranks", 1)
+        st.blamed |= check_analysis_blocks(rec, where, ranks)
+        st.analyzed += 1
+    st.prev_step, st.prev_time = rec["step"], rec["time"]
+
+
+def read_lines(path: str):
     try:
         with open(path, encoding="utf-8") as f:
-            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+            return [ln for ln in f.read().splitlines() if ln.strip()]
     except OSError as e:
         fail(f"cannot read {path}: {e}")
 
+
+def check_jsonl(path: str, args) -> None:
+    lines = read_lines(path)
     if len(lines) < args.min_records:
         fail(f"{path}: expected >= {args.min_records} records, "
              f"found {len(lines)}")
 
-    prev_step, prev_time = None, None
-    hwm_state = {}
-    mem_records = 0
-    timing_records = 0
-    latency_records = 0
-    analyzed = 0
-    blamed = set()
+    st = RecordState()
     for i, line in enumerate(lines, start=1):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            fail(f"{path}:{i}: not valid JSON: {e}")
-        if not isinstance(rec, dict):
-            fail(f"{path}:{i}: record is not a JSON object")
-        for key in REQUIRED:
-            if key not in rec:
-                fail(f"{path}:{i}: missing required key \"{key}\"")
-            v = rec[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                fail(f"{path}:{i}: \"{key}\" is not numeric: {v!r}")
-            if not math.isfinite(v):
-                fail(f"{path}:{i}: \"{key}\" is not finite: {v!r}")
-        if prev_step is not None and rec["step"] <= prev_step:
-            fail(f"{path}:{i}: step {rec['step']} not strictly increasing "
-                 f"(previous {prev_step})")
-        if prev_time is not None and rec["time"] < prev_time:
-            fail(f"{path}:{i}: time {rec['time']} decreased "
-                 f"(previous {prev_time})")
-        if rec["dt"] <= 0:
-            fail(f"{path}:{i}: dt {rec['dt']} is not positive")
-        per_level = rec.get("per_level")
-        if per_level is not None:
-            if (not isinstance(per_level, list)
-                    or any(not isinstance(n, int) or n < 0
-                           for n in per_level)):
-                fail(f"{path}:{i}: \"per_level\" is not a list of "
-                     f"non-negative ints")
-            if sum(per_level) != rec["elements"]:
-                fail(f"{path}:{i}: per_level sums to {sum(per_level)}, "
-                     f"elements says {rec['elements']}")
-        if "memory" in rec:
-            check_memory_block(rec["memory"], f"{path}:{i}", hwm_state)
-            mem_records += 1
-        if "timings" in rec:
-            check_timings_block(rec["timings"], f"{path}:{i}")
-            timing_records += 1
-        if "latency" in rec:
-            check_latency_block(rec["latency"], f"{path}:{i}")
-            latency_records += 1
-        check_solver_fields(rec, f"{path}:{i}")
-        blocks = [k for k in ("critical_path", "wait_states") if k in rec]
-        if blocks or args.min_steps is not None:
-            if len(blocks) != 2:
-                fail(f"{path}:{i}: step {rec['step']} needs both "
-                     f"critical_path and wait_states, has {blocks}")
-            ranks = args.ranks if args.ranks > 0 else rec.get("ranks", 1)
-            blamed |= check_analysis_blocks(rec, f"{path}:{i}", ranks)
-            analyzed += 1
-        prev_step, prev_time = rec["step"], rec["time"]
+        check_record(line, f"{path}:{i}", args, st)
 
-    if analyzed < (args.min_steps or 0):
+    if st.analyzed < (args.min_steps or 0):
         fail(f"{path}: expected >= {args.min_steps} analyzed step records, "
-             f"found {analyzed}")
-    if args.expect_slow_rank >= 0 and args.expect_slow_rank not in blamed:
+             f"found {st.analyzed}")
+    if args.expect_slow_rank >= 0 and args.expect_slow_rank not in st.blamed:
         fail(f"{path}: no phase blamed rank {args.expect_slow_rank} for "
-             f"late-sender time (blamed: {sorted(blamed)})")
+             f"late-sender time (blamed: {sorted(st.blamed)})")
 
     print(f"check_telemetry: OK: {len(lines)} records in {path}, "
-          f"steps {lines and json.loads(lines[0])['step']}..{prev_step}, "
-          f"{mem_records} with memory blocks, "
-          f"{timing_records} with timings blocks, "
-          f"{latency_records} with latency blocks, "
-          f"{analyzed} with analysis blocks"
-          + (f", blamed ranks {sorted(blamed)}" if blamed else ""))
+          f"steps {lines and json.loads(lines[0])['step']}..{st.prev_step}, "
+          f"{st.mem} with memory blocks, "
+          f"{st.timings} with timings blocks, "
+          f"{st.latency} with latency blocks, "
+          f"{st.analyzed} with analysis blocks"
+          + (f", blamed ranks {sorted(st.blamed)}" if st.blamed else ""))
 
 
-def check_bundle(dump_dir: str) -> None:
+def load_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        fail(f"cannot read {path}: {e}")
+    except json.JSONDecodeError as e:
+        fail(f"{path} is not valid JSON: {e}")
+
+
+def check_bundle(dump_dir: str, args) -> None:
     if not os.path.isdir(dump_dir):
         fail(f"dump dir {dump_dir} does not exist")
 
@@ -402,29 +432,17 @@ def check_bundle(dump_dir: str) -> None:
         fail(f"{reason} is empty")
 
     for name in ("trace.json", "counters.json", "phases.json",
-                 "residuals.json", "memory.json"):
-        path = os.path.join(dump_dir, name)
-        try:
-            with open(path, encoding="utf-8") as f:
-                json.load(f)
-        except OSError as e:
-            fail(f"cannot read {path}: {e}")
-        except json.JSONDecodeError as e:
-            fail(f"{path} is not valid JSON: {e}")
+                 "residuals.json"):
+        load_json(os.path.join(dump_dir, name))
 
     tail = os.path.join(dump_dir, "telemetry_tail.jsonl")
-    try:
-        with open(tail, encoding="utf-8") as f:
-            tail_lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    except OSError as e:
-        fail(f"cannot read {tail}: {e}")
+    tail_lines = read_lines(tail)
+    st = RecordState()
     for i, line in enumerate(tail_lines, start=1):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            fail(f"{tail}:{i}: not valid JSON: {e}")
-        if not isinstance(rec, dict):
-            fail(f"{tail}:{i}: record is not a JSON object")
+        check_record(line, f"{tail}:{i}", args, st, dying=True)
+
+    memory = os.path.join(dump_dir, "memory.json")
+    check_memory_block(load_json(memory), memory, st.hwm)
 
     print(f"check_telemetry: OK: bundle in {dump_dir} "
           f"(reason: {text.splitlines()[0]!r}, "
@@ -452,7 +470,7 @@ def main() -> None:
     if args.jsonl:
         check_jsonl(args.jsonl, args)
     if args.dump_dir:
-        check_bundle(args.dump_dir)
+        check_bundle(args.dump_dir, args)
 
 
 if __name__ == "__main__":

@@ -33,14 +33,16 @@ struct RankBaseline {
   std::map<std::string, Histogram> hists;  // cumulative as of last report
 };
 
+// Everything kept across calls is bounded by the number of names
+// (phases, histograms, scopes), never by the number of steps.
 struct AnalysisState {
   std::mutex mtx;
   std::uint64_t generation = 0;
   std::vector<RankBaseline> baselines;
-  std::vector<StepRecord> records;  // written by rank 0 only
   // Run-cumulative cross-rank histograms: every step's merged deltas
   // added in (rank 0 only). Exact because bucket merging is.
   std::map<std::string, Histogram> cum_hists;
+  MemRecord last_mem;  // rank 0's most recent analyze_memory record
 };
 
 AnalysisState& state() {
@@ -48,18 +50,23 @@ AnalysisState& state() {
   return s;
 }
 
+/// Drop the previous world's state once a new world has begun. Called
+/// with s.mtx held.
+void sync_world(AnalysisState& s) {
+  const std::uint64_t gen = world_generation();
+  if (s.generation == gen) return;
+  s.generation = gen;
+  s.baselines.clear();
+  s.cum_hists.clear();
+  s.last_mem = MemRecord{};
+}
+
 /// Fetch this rank's baseline, resetting everything on a new world. The
 /// lock is only contended at world boundaries and analyze_step entry.
 RankBaseline& baseline_for(int rank, int nranks) {
   AnalysisState& s = state();
-  const std::uint64_t gen = world_generation();
   std::lock_guard<std::mutex> lock(s.mtx);
-  if (s.generation != gen) {
-    s.generation = gen;
-    s.baselines.assign(static_cast<std::size_t>(nranks), RankBaseline{});
-    s.records.clear();
-    s.cum_hists.clear();
-  }
+  sync_world(s);
   if (s.baselines.size() < static_cast<std::size_t>(nranks))
     s.baselines.resize(static_cast<std::size_t>(nranks));
   return s.baselines[static_cast<std::size_t>(rank)];
@@ -310,10 +317,6 @@ double overlap_of(const WaitBuckets& w) {
   return cov > 0 ? w.overlap_covered_s / cov : 1.0;
 }
 
-bool most_blocked_first(const PhaseWaits& a, const PhaseWaits& b) {
-  return a.w.blocked_s() > b.w.blocked_s();
-}
-
 StepRecord stitch(const std::vector<RankDelta>& deltas, int step) {
   StepRecord rec;
   rec.step = step;
@@ -375,7 +378,10 @@ StepRecord stitch(const std::vector<RankDelta>& deltas, int step) {
       }
     rec.waits.push_back(w);
   }
-  std::sort(rec.waits.begin(), rec.waits.end(), most_blocked_first);
+  std::sort(rec.waits.begin(), rec.waits.end(),
+            [](const PhaseWaits& a, const PhaseWaits& b) {
+              return a.w.blocked_s() > b.w.blocked_s();
+            });
 
   // Latency: exact elementwise merge of every rank's step-window
   // histogram, and rank-summed cumulative counters.
@@ -400,16 +406,34 @@ StepRecord stitch(const std::vector<RankDelta>& deltas, int step) {
   return rec;
 }
 
-std::string critical_json(double length_s, double mean_s,
-                          const std::vector<PhaseCritical>& phases) {
+}  // namespace
+
+StepRecord analyze_step(par::Comm& comm, int step) {
+  RankDelta mine = local_delta(comm.rank(), comm.size());
+  StepRecord rec = stitch(exchange(comm, mine), step);
+  if (comm.rank() == 0) {
+    AnalysisState& s = state();
+    std::lock_guard<std::mutex> lock(s.mtx);
+    for (const PhaseLatency& l : rec.latency) s.cum_hists[l.phase].merge(l.hist);
+  }
+  return rec;
+}
+
+std::vector<std::pair<std::string, Histogram>> merged_histograms() {
+  AnalysisState& s = state();
+  std::lock_guard<std::mutex> lock(s.mtx);
+  return {s.cum_hists.begin(), s.cum_hists.end()};
+}
+
+std::string critical_path_json(const StepRecord& rec) {
   TelemetryRecord w;
-  w.field("length_s", length_s)
-      .field("mean_s", mean_s)
-      .field("imbalance", mean_s > 0 ? length_s / mean_s : 1.0)
+  w.field("length_s", rec.cp_length_s)
+      .field("mean_s", rec.mean_length_s)
+      .field("imbalance", rec.cp_imbalance)
       .arr_open("phases");
-  const std::size_t limit = std::min<std::size_t>(phases.size(), 12);
+  const std::size_t limit = std::min<std::size_t>(rec.critical.size(), 12);
   for (std::size_t i = 0; i < limit; ++i) {
-    const PhaseCritical& c = phases[i];
+    const PhaseCritical& c = rec.critical[i];
     w.obj_open()
         .field("phase", c.phase)
         .field("cp_s", c.cp_s)
@@ -421,12 +445,12 @@ std::string critical_json(double length_s, double mean_s,
   return w.arr_close().json();
 }
 
-std::string waits_json(const std::vector<PhaseWaits>& phases) {
+std::string wait_states_json(const StepRecord& rec) {
   TelemetryRecord w;
   w.arr_open("phases");
-  const std::size_t limit = std::min<std::size_t>(phases.size(), 12);
+  const std::size_t limit = std::min<std::size_t>(rec.waits.size(), 12);
   for (std::size_t i = 0; i < limit; ++i) {
-    const PhaseWaits& p = phases[i];
+    const PhaseWaits& p = rec.waits[i];
     w.obj_open()
         .field("phase", p.phase)
         .field("wall_s", p.wall_s)
@@ -447,93 +471,6 @@ std::string waits_json(const std::vector<PhaseWaits>& phases) {
   return w.arr_close().json();
 }
 
-}  // namespace
-
-StepRecord analyze_step(par::Comm& comm, int step) {
-  RankDelta mine = local_delta(comm.rank(), comm.size());
-  StepRecord rec = stitch(exchange(comm, mine), step);
-  if (comm.rank() == 0) {
-    AnalysisState& s = state();
-    std::lock_guard<std::mutex> lock(s.mtx);
-    for (const PhaseLatency& l : rec.latency) s.cum_hists[l.phase].merge(l.hist);
-    s.records.push_back(rec);
-  }
-  return rec;
-}
-
-std::vector<std::pair<std::string, Histogram>> merged_histograms() {
-  AnalysisState& s = state();
-  std::lock_guard<std::mutex> lock(s.mtx);
-  return {s.cum_hists.begin(), s.cum_hists.end()};
-}
-
-const std::vector<StepRecord>& step_records() { return state().records; }
-
-void reset_records() {
-  AnalysisState& s = state();
-  std::lock_guard<std::mutex> lock(s.mtx);
-  s.records.clear();
-}
-
-RunSummary summarize(const std::vector<StepRecord>& recs) {
-  RunSummary sum;
-  sum.steps = static_cast<int>(recs.size());
-  std::map<std::string, PhaseCritical> crit;
-  std::map<std::string, PhaseWaits> waits;
-  for (const StepRecord& rec : recs) {
-    sum.cp_length_s += rec.cp_length_s;
-    sum.mean_length_s += rec.mean_length_s;
-    for (const PhaseCritical& c : rec.critical) {
-      PhaseCritical& a = crit[c.phase];
-      a.phase = c.phase;
-      a.cp_s += c.cp_s;
-      a.mean_s += c.mean_s;
-      if (c.cp_s > 0) a.rank = c.rank;  // last step's slowest rank
-    }
-    for (const PhaseWaits& w : rec.waits) {
-      PhaseWaits& a = waits[w.phase];
-      a.phase = w.phase;
-      a.wall_s += w.wall_s;
-      a.w += w.w;
-      a.max_blocked_s = std::max(a.max_blocked_s, w.max_blocked_s);
-      if (w.blamed_s > a.blamed_s) {
-        a.blamed_s = w.blamed_s;
-        a.blamed_rank = w.blamed_rank;
-      }
-    }
-  }
-  for (auto& [name, c] : crit) {
-    c.imbalance = c.mean_s > 0 ? c.cp_s / c.mean_s : 1.0;
-    sum.critical.push_back(c);
-  }
-  std::sort(sum.critical.begin(), sum.critical.end(),
-            [](const PhaseCritical& a, const PhaseCritical& b) {
-              return a.cp_s > b.cp_s;
-            });
-  for (auto& [name, w] : waits) {
-    w.overlap = overlap_of(w.w);
-    sum.waits.push_back(w);
-  }
-  std::sort(sum.waits.begin(), sum.waits.end(), most_blocked_first);
-  return sum;
-}
-
-std::string critical_path_json(const StepRecord& rec) {
-  return critical_json(rec.cp_length_s, rec.mean_length_s, rec.critical);
-}
-
-std::string wait_states_json(const StepRecord& rec) {
-  return waits_json(rec.waits);
-}
-
-std::string critical_path_json(const RunSummary& sum) {
-  return critical_json(sum.cp_length_s, sum.mean_length_s, sum.critical);
-}
-
-std::string wait_states_json(const RunSummary& sum) {
-  return waits_json(sum.waits);
-}
-
 std::string latency_json(const StepRecord& rec) {
   TelemetryRecord w;
   w.arr_open("phases");
@@ -552,9 +489,7 @@ std::string subsystem_of(const std::string& scope) {
   return dot == std::string::npos ? scope : scope.substr(0, dot);
 }
 
-}  // namespace
-
-MemRecord analyze_memory(par::Comm& comm, int step) {
+MemRecord gather_memory(par::Comm& comm, int step) {
   MemRecord rec;
   rec.step = step;
   rec.ranks = comm.size();
@@ -657,6 +592,25 @@ MemRecord analyze_memory(par::Comm& comm, int step) {
   for (auto& [name, s] : scopes) rec.scopes.push_back(std::move(s));
   for (auto& [name, s] : subs) rec.subsystems.push_back(std::move(s));
   return rec;
+}
+
+}  // namespace
+
+MemRecord analyze_memory(par::Comm& comm, int step) {
+  MemRecord rec = gather_memory(comm, step);
+  if (comm.rank() == 0) {
+    AnalysisState& s = state();
+    std::lock_guard<std::mutex> lock(s.mtx);
+    sync_world(s);
+    s.last_mem = rec;
+  }
+  return rec;
+}
+
+MemRecord last_memory() {
+  AnalysisState& s = state();
+  std::lock_guard<std::mutex> lock(s.mtx);
+  return s.generation == world_generation() ? s.last_mem : MemRecord{};
 }
 
 std::string memory_json(const MemRecord& rec, std::int64_t dofs,

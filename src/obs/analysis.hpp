@@ -19,9 +19,11 @@
 //    split-phase halo exchanges, which is in [0, 1] by construction.
 //
 // The analyzer's own collectives run under wait_suppress so they never
-// appear in the buckets they are measuring. Records are retained per
-// world (rank 0 stores them) for bench::Reporter run summaries and for
-// the per-step telemetry blocks validated by scripts/check_telemetry.py.
+// appear in the buckets they are measuring. Step records are returned,
+// not retained: the caller embeds them in its per-step telemetry blocks
+// (validated by scripts/check_telemetry.py). Rank 0 keeps only what is
+// bounded by the number of names: the run-cumulative histograms behind
+// /metrics and the last memory record (last_memory).
 //
 // The same exchange is the one carrier of per-step cross-rank facts: it
 // also ships each rank's cumulative counters, gauges (obs::gauge_set —
@@ -95,35 +97,17 @@ struct StepRecord {
 /// Collective: exchange this rank's per-phase time and wait deltas since
 /// the previous analyze_step (or world start) and return the stitched
 /// step record. Every rank of `comm` must call it together; rank 0 also
-/// appends the record to step_records(). The exchange runs whether or not
-/// wait-state accounting is on: with ALPS_ANALYSIS=0 no waits were
-/// recorded, so `waits` is empty, while the critical path, counters,
-/// gauges and latency are still produced.
+/// merges the record's latency into merged_histograms(). The exchange
+/// runs whether or not wait-state accounting is on: with ALPS_ANALYSIS=0
+/// no waits were recorded, so `waits` is empty, while the critical path,
+/// counters, gauges and latency are still produced.
 StepRecord analyze_step(par::Comm& comm, int step);
 
-/// Records stored by rank 0's analyze_step calls in the current world,
-/// oldest first. Read from the main thread after par::run, or clear
-/// between bench repetitions with reset_records().
-const std::vector<StepRecord>& step_records();
-void reset_records();
-
-/// Run-level roll-up of `recs` (step-summed phases, re-sorted).
-struct RunSummary {
-  int steps = 0;
-  double cp_length_s = 0;
-  double mean_length_s = 0;
-  std::vector<PhaseCritical> critical;
-  std::vector<PhaseWaits> waits;
-};
-RunSummary summarize(const std::vector<StepRecord>& recs);
-
-/// JSON object fragments (no surrounding key) for telemetry / BENCH_*.json
-/// embedding: {"length_s":..,"phases":[{"phase":..,"cp_s":..,"rank":..},..]}
+/// JSON object fragments (no surrounding key) for telemetry embedding:
+/// {"length_s":..,"phases":[{"phase":..,"cp_s":..,"rank":..},..]}
 /// and {"phases":[{"phase":..,"late_sender_s":..,..,"overlap":..},..]}.
 std::string critical_path_json(const StepRecord& rec);
 std::string wait_states_json(const StepRecord& rec);
-std::string critical_path_json(const RunSummary& sum);
-std::string wait_states_json(const RunSummary& sum);
 
 /// The telemetry "latency" block for one step's merged histograms:
 /// {"phases":[{"phase":..,"count":..,"sum_s":..,"p50_s":..,"p95_s":..,
@@ -133,8 +117,8 @@ std::string latency_json(const StepRecord& rec);
 
 /// Run-cumulative cross-rank histograms: every step's merged deltas
 /// accumulated by rank 0's analyze_step calls in the current world —
-/// the source of the Prometheus histogram series and the bench::Reporter
-/// percentile rows. Sorted by name; copied under the analysis lock.
+/// the source of the Prometheus histogram series. One entry per name;
+/// sorted by name; copied under the analysis lock.
 std::vector<std::pair<std::string, Histogram>> merged_histograms();
 
 // ---- memory aggregation (obs/mem.hpp across ranks) ---------------------
@@ -173,10 +157,18 @@ struct MemRecord {
 
 /// Collective: allgather every rank's accounted bytes, HWMs, RSS sample,
 /// and scope snapshot, and return the stitched record. Every rank of
-/// `comm` must call it together. When obs::mem is disabled no
-/// communication happens (the gate is process-global, so all ranks
-/// branch the same way).
+/// `comm` must call it together; rank 0 also keeps the record as
+/// last_memory(). When obs::mem is disabled no communication happens
+/// (the gate is process-global, so all ranks branch the same way).
 MemRecord analyze_memory(par::Comm& comm, int step);
+
+/// Rank 0's most recent analyze_memory record in the current world —
+/// what the flight recorder's memory.json and each BENCH_*.json obs
+/// snapshot encode with memory_json. A world that made none (or an
+/// earlier world's record, once a new world has begun) reads as a default
+/// record, whose `enabled` is false. Read from rank 0 or after par::run
+/// has joined.
+MemRecord last_memory();
 
 /// The telemetry "memory" block: {"available":..,"accounted":{..},
 /// "rss":{..},"subsystems":[..],"scopes":[..]}. Subsystems group scopes

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "obs/analysis.hpp"
 #include "obs/telemetry.hpp"
 
 namespace alps::obs {
@@ -58,14 +59,14 @@ std::string panic_dump(const std::string& reason) noexcept {
     }
     write_file(dir / "reason.txt", reason);
     write_file(dir / "trace.json", chrome_trace_json());
-    TelemetryRecord counters, phases, memory;
+    TelemetryRecord counters, phases;
     json_counters(counters, nullptr, aggregate_counters());
     write_file(dir / "counters.json", counters.str());
     json_phases(phases, nullptr, aggregate_phases());
     write_file(dir / "phases.json", phases.str());
     write_file(dir / "residuals.json", residuals_json());
-    json_memory(memory, nullptr, run_memory());
-    write_file(dir / "memory.json", memory.str());
+    write_file(dir / "memory.json",
+               analysis::memory_json(analysis::last_memory(), 0));
     std::string tail;
     for (const std::string& line : telemetry_tail()) tail += line + "\n";
     write_file(dir / "telemetry_tail.jsonl", tail);

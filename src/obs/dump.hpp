@@ -10,8 +10,12 @@
 //   counters.json        merged counter registry (all ranks summed)
 //   phases.json          cross-rank phase breakdown table
 //   residuals.json       recent solver residual histories / AMG factors
-//   telemetry_tail.jsonl the last telemetry records (even when the
-//                        telemetry file sink was off)
+//   memory.json          obs::analysis::memory_json of last_memory(): the
+//                        telemetry memory block without bytes_per_dof and
+//                        drift, or {"available":false} without a record
+//   telemetry_tail.jsonl the last records passed to telemetry_emit; rhea
+//                        emits only while telemetry is on, so without
+//                        ALPS_TELEMETRY the file is empty
 //
 // Callers add collective artifacts (e.g. a VTK field snapshot) into the
 // same directory themselves — panic_dump only writes obs-owned state and

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -36,11 +35,10 @@ constexpr int kSampleEvery = 16;
 
 std::atomic<bool> g_rss_forced_unavailable{false};
 
-// One slot per rank; the owning rank thread is the only writer, the main
-// thread reads after par::run joins (same contract as obs RankSlot).
+// One slot per rank; the owning rank thread is its only reader and
+// writer (analyze_memory ships it to the other ranks).
 struct MemRankSlot {
   MemTable table;  // last mem_report: non-zero scopes, sorted by name
-  std::uint64_t accounted = 0;  // sum over the table
   std::uint64_t accounted_hwm = 0;
 };
 
@@ -88,9 +86,9 @@ void mem_report(MemTable table) {
   if (slot == nullptr || !mem_enabled()) return;
   std::erase_if(table, [](const auto& e) { return e.second == 0; });
   std::sort(table.begin(), table.end());
-  slot->accounted = 0;
-  for (const auto& [name, bytes] : table) slot->accounted += bytes;
-  slot->accounted_hwm = std::max(slot->accounted_hwm, slot->accounted);
+  std::uint64_t total = 0;
+  for (const auto& [name, bytes] : table) total += bytes;
+  slot->accounted_hwm = std::max(slot->accounted_hwm, total);
   slot->table = std::move(table);
 }
 
@@ -143,22 +141,6 @@ RssPeak rss_peak() {
   MemState& s = state();
   std::lock_guard<std::mutex> lock(s.mtx);
   return RssPeak{s.rss_peak_bytes, s.rss_peak_phase};
-}
-
-RunMemory run_memory() {
-  RunMemory m;
-  m.available = mem_enabled();
-  if (!m.available) return m;
-  std::map<std::string, std::uint64_t> scopes;
-  for (const auto& slot : state().slots) {
-    m.by_rank.push_back(slot->accounted);
-    m.hwm = std::max(m.hwm, slot->accounted_hwm);
-    for (const auto& [name, bytes] : slot->table) scopes[name] += bytes;
-  }
-  m.rss = sample_rss();
-  m.peak = rss_peak();
-  m.scopes.assign(scopes.begin(), scopes.end());
-  return m;
 }
 
 namespace memdetail {

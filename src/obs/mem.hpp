@@ -89,20 +89,6 @@ struct RssPeak {
 };
 RssPeak rss_peak();
 
-/// The world's memory accounting at one instant: what the flight
-/// recorder's memory.json and each BENCH_*.json obs snapshot report
-/// (encoded by obs::json_memory). Read after par::run has joined, or
-/// from one rank while the others are quiescent.
-struct RunMemory {
-  bool available = false;               // mem_enabled(); nothing else valid
-  std::vector<std::uint64_t> by_rank;   // accounted bytes per rank
-  std::uint64_t hwm = 0;                // worst rank's accounted HWM
-  RssSample rss;
-  RssPeak peak;
-  MemTable scopes;  // summed over ranks, sorted by name, zeros omitted
-};
-RunMemory run_memory();
-
 namespace memdetail {
 // Called by the obs world/rank lifecycle (obs.cpp).
 void world_begin(int nranks);

@@ -466,19 +466,6 @@ std::uint64_t self_memory_bytes() {
   return b;
 }
 
-std::vector<std::pair<std::string, std::vector<double>>> phase_table() {
-  State& s = state();
-  const std::size_t p = s.slots.size();
-  std::map<std::string, std::vector<double>> by_name;
-  for (std::size_t r = 0; r < p; ++r)
-    for (const auto& [name, secs] : s.slots[r]->phases) {
-      auto& v = by_name[name];
-      v.resize(p, 0.0);
-      v[r] = secs;
-    }
-  return {by_name.begin(), by_name.end()};
-}
-
 std::vector<std::pair<std::string, double>> phase_snapshot() {
   const RankSlot* slot = tl_slot;
   if (slot == nullptr) return {};

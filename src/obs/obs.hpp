@@ -20,10 +20,12 @@
 // Kill switches: tracing is off unless ALPS_TRACE is set (=1 enables
 // phase + solver spans; =comm/all additionally records per-collective
 // spans) or set_enabled() is called; a disabled span is one relaxed
-// atomic load. Compiling with -DALPS_OBS_DISABLE removes the span macros
-// entirely. Phase accumulation and counters stay on regardless — they
-// replace the old hand-threaded rhea::PhaseTimers bookkeeping and cost
-// one thread-local add on paths that are never per-element hot.
+// atomic load. Phase accumulation and counters stay on regardless of the
+// runtime switches — they replace the old hand-threaded rhea::PhaseTimers
+// bookkeeping and cost one thread-local add on paths that are never
+// per-element hot. Compiling with -DALPS_OBS_DISABLE removes the span
+// macros entirely, OBS_PHASE_SPAN included, so in that build the phase
+// accumulators (and rhea::PhaseTimers) read zero; counters stay.
 
 #include <atomic>
 #include <cstddef>
@@ -206,9 +208,6 @@ struct PhaseWaitSample {
 std::vector<PhaseWaitSample> wait_samples(int rank);
 /// Same, for the calling thread's bound rank (empty when unbound).
 std::vector<PhaseWaitSample> wait_samples();
-/// Per-phase cumulative seconds of every rank: {name, seconds[rank]}.
-/// Call after par::run has joined (main thread).
-std::vector<std::pair<std::string, std::vector<double>>> phase_table();
 /// All phase accumulators of the calling thread's rank.
 std::vector<std::pair<std::string, double>> phase_snapshot();
 

@@ -1,6 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -178,33 +177,6 @@ void json_latency_row(TelemetryRecord& w, const std::string& phase,
       .obj_close();
 }
 
-void json_memory(TelemetryRecord& w, const char* key, const RunMemory& m) {
-  w.obj_open(key).field("available", m.available);
-  if (!m.available) {
-    w.obj_close();
-    return;
-  }
-  if (m.hwm > 0) {
-    std::uint64_t total = 0;
-    for (const std::uint64_t b : m.by_rank) total += b;
-    w.obj_open("accounted").arr_open("by_rank");
-    for (const std::uint64_t b : m.by_rank) w.field(nullptr, b);
-    w.arr_close()
-        .field("total_bytes", total)
-        .field("hwm_bytes", m.hwm)
-        .obj_close();
-  }
-  w.obj_open("rss").field("available", m.rss.available);
-  if (m.rss.available)
-    w.field("rss_bytes", m.rss.rss_bytes)
-        .field("hwm_bytes", std::max(m.rss.hwm_bytes, m.peak.bytes))
-        .field("peak_bytes", m.peak.bytes)
-        .field("peak_phase", m.peak.phase != nullptr ? m.peak.phase : "");
-  w.obj_close();
-  json_counters(w, "scopes", m.scopes);
-  w.obj_close();
-}
-
 void json_solves(TelemetryRecord& w, const char* key,
                  const std::vector<SolveRow>& rows) {
   w.arr_open(key);
@@ -226,7 +198,10 @@ void telemetry_emit(const TelemetryRecord& rec) {
   s.records++;
   s.tail.push_back(line);
   if (s.tail.size() > kTailCapacity) s.tail.pop_front();
-  if (!telemetry_enabled()) return;  // tail still records for the dump
+  // The tail records every emit, file sink or not; whether a record is
+  // built at all is the caller's choice (rhea emits only with telemetry
+  // on, so without it the dump's tail is empty).
+  if (!telemetry_enabled()) return;
   if (!s.opened) {
     const std::string path = path_locked(s);
     s.file.open(path, std::ios::trunc);

@@ -10,13 +10,17 @@
 // diagnostics) data directly; scripts/check_telemetry.py validates the
 // schema and step monotonicity in CI.
 //
-// The sink also keeps an in-memory tail ring of the last records and a
-// registry of recent solver residual histories — both are written into
-// the flight-recorder bundle (obs/dump.hpp) when a run dies.
+// The sink also keeps an in-memory tail ring of the last emitted records
+// and a registry of recent solver residual histories — both are written
+// into the flight-recorder bundle (obs/dump.hpp) when a run dies. The
+// tail holds only what was emitted: rhea::Simulation builds and emits a
+// record only while telemetry is on, so a run without ALPS_TELEMETRY
+// dumps an empty tail.
 //
 // The record builder is also the repository's one JSON writer, and the
-// facts several outputs report (counters, phases, latency rows, run
-// memory, solver rows) each have one encoder here.
+// facts several outputs report (counters, phases, latency rows, solver
+// rows) each have one encoder here; the memory block's encoder is
+// obs::analysis::memory_json.
 //
 // Enablement: ALPS_TELEMETRY=1 (or any non-empty value but "0") turns the
 // stream on; ALPS_TELEMETRY_OUT overrides the output path (default
@@ -33,7 +37,6 @@
 #include <vector>
 
 #include "obs/histogram.hpp"
-#include "obs/mem.hpp"
 #include "obs/obs.hpp"
 
 namespace alps::obs {
@@ -111,7 +114,7 @@ class TelemetryRecord {
 // one value under `key` (a bare value for a null key).
 
 /// {"name":count,...} — the merged counter table (counters.json and the
-/// BENCH_*.json "counters" block); also the memory block's scope table.
+/// BENCH_*.json "counters" block).
 void json_counters(
     TelemetryRecord& w, const char* key,
     const std::vector<std::pair<std::string, std::uint64_t>>& counters);
@@ -125,14 +128,6 @@ void json_phases(TelemetryRecord& w, const char* key,
 /// BENCH_*.json latency rows).
 void json_latency_row(TelemetryRecord& w, const std::string& phase,
                       const Histogram& h);
-/// The run memory block (memory.json and the BENCH_*.json "memory"
-/// block): {"available":false}, or {"available":true,"accounted":{
-/// "by_rank","total_bytes","hwm_bytes"},"rss":{..},"scopes":
-/// {name:bytes}} where rss is {"available":false} or {"available":true,
-/// "rss_bytes","hwm_bytes","peak_bytes","peak_phase"}. "accounted" is
-/// left out until some rank has reported a non-empty mem_report table
-/// (m.hwm > 0): all-zero rows would only say that nothing reported.
-void json_memory(TelemetryRecord& w, const char* key, const RunMemory& m);
 
 /// One Krylov solve of a Picard iteration.
 struct SolveRow {
@@ -148,14 +143,16 @@ void json_solves(TelemetryRecord& w, const char* key,
 
 // ---- sink -------------------------------------------------------------
 
-/// Append `rec` as one line to the telemetry file (lazily opened,
-/// truncated on the first emit of the process) and to the in-memory tail
-/// ring. Call from one rank per record — by convention rank 0 of the
-/// simulation loop. Thread-safe.
+/// Append `rec` to the in-memory tail ring and, while telemetry is on, as
+/// one line to the telemetry file (lazily opened, truncated on the first
+/// write of the process). Call from one rank per record — by convention
+/// rank 0 of the simulation loop. Thread-safe.
 void telemetry_emit(const TelemetryRecord& rec);
 
 /// The most recent emitted lines, oldest first (bounded ring; also fed by
-/// emits that happened while the file sink was disabled).
+/// emits that happened while the file sink was disabled — but callers
+/// that skip building a record when telemetry is off, as rhea does, feed
+/// it nothing).
 std::vector<std::string> telemetry_tail();
 
 /// Number of records emitted since process start (monotonic).

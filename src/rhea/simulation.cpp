@@ -379,9 +379,11 @@ void Simulation::run(int steps) {
     if (report)
       report_step(dt, adapted, stokes_solved, timers() - phases0, arec,
                   mem_on ? &mrec : nullptr, drift_json);
-    // The drift record is in the telemetry tail by now, so the flight
-    // recorder captures it. The trip is computed from allgathered data,
-    // so every rank reaches this together.
+    // The flight recorder's memory.json carries this step's memory record
+    // and reason.txt the drift verdict; the drift block itself is in the
+    // telemetry tail only when telemetry is on (no record is emitted
+    // otherwise). The trip is computed from allgathered data, so every
+    // rank reaches this together.
     if (mem_drift_trip_) mem_drift_panic();
     if (cfg_.sentinels) check_sentinels();
   }

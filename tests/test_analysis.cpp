@@ -18,10 +18,6 @@ using namespace alps;
 
 namespace {
 
-void sleep_ms(int ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
 /// Restore every analysis/tracing switch so test ordering never leaks.
 class AnalysisTest : public ::testing::Test {
  protected:
@@ -29,9 +25,18 @@ class AnalysisTest : public ::testing::Test {
   void TearDown() override {
     obs::set_enabled(false);
     obs::set_analysis_enabled(true);  // default-on
-    obs::analysis::reset_records();
   }
 };
+
+}  // namespace
+
+#ifndef ALPS_OBS_DISABLE  // phase spans and waits are compiled out
+
+namespace {
+
+void sleep_ms(int ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
 
 const obs::PhaseWaitSample* find_phase(
     const std::vector<obs::PhaseWaitSample>& samples, const char* phase) {
@@ -128,7 +133,6 @@ TEST_F(AnalysisTest, OverlapMarksMeasureCoveredVersusWaitedHaloTime) {
 }
 
 TEST_F(AnalysisTest, AnalyzeStepStitchesCriticalPathToTheSlowestRank) {
-  obs::analysis::reset_records();
   obs::analysis::StepRecord recs[4];
   par::run(4, [&](par::Comm& c) {
     {
@@ -148,16 +152,13 @@ TEST_F(AnalysisTest, AnalyzeStepStitchesCriticalPathToTheSlowestRank) {
   EXPECT_GT(c3->imbalance, 1.0);
   EXPECT_GE(rec.cp_length_s, rec.mean_length_s);
   // Every rank computed the same stitched record (it is a collective).
-  for (int r = 1; r < 4; ++r)
+  for (int r = 1; r < 4; ++r) {
+    EXPECT_EQ(recs[r].step, 1);
     EXPECT_DOUBLE_EQ(recs[r].cp_length_s, rec.cp_length_s);
-  // Rank 0 archived it for bench::Reporter / telemetry.
-  ASSERT_EQ(obs::analysis::step_records().size(), 1u);
-  EXPECT_DOUBLE_EQ(obs::analysis::step_records()[0].cp_length_s,
-                   rec.cp_length_s);
+  }
 }
 
 TEST_F(AnalysisTest, AnalyzeStepBucketsRespectWallTimeAndBlameSlowRank) {
-  obs::analysis::reset_records();
   obs::analysis::StepRecord rec;
   par::run(2, [&](par::Comm& c) {
     {
@@ -207,9 +208,6 @@ TEST_F(AnalysisTest, JsonBlocksCarryTheAnalysisFields) {
   const std::string ws = obs::analysis::wait_states_json(rec);
   EXPECT_NE(ws.find("\"wall_s\":"), std::string::npos);
   EXPECT_NE(ws.find("\"late_sender_s\":"), std::string::npos);
-  const auto sum = obs::analysis::summarize({rec, rec});
-  EXPECT_EQ(sum.steps, 2);
-  EXPECT_DOUBLE_EQ(sum.cp_length_s, 2 * rec.cp_length_s);
 }
 
 TEST_F(AnalysisTest, AnalyzeStepRecordsNoWaitsWhenAnalysisIsDisabled) {
@@ -236,6 +234,7 @@ TEST_F(AnalysisTest, AnalyzeStepRecordsNoWaitsWhenAnalysisIsDisabled) {
   EXPECT_TRUE(found);
   EXPECT_GT(rec.cp_length_s, 0.0);
 }
+#endif  // ALPS_OBS_DISABLE
 
 TEST_F(AnalysisTest, FlowEventsPairAcrossRanksWithMatchingIds) {
   obs::set_enabled(true);
@@ -281,4 +280,30 @@ TEST_F(AnalysisTest, FlowSequencesStayMatchedWhenTracingTogglesMidRun) {
   ASSERT_EQ(f0.size(), 1u);
   ASSERT_EQ(f1.size(), 1u);
   EXPECT_EQ(f0[0].id, f1[0].id);
+}
+
+TEST_F(AnalysisTest, RetainedStateIsBoundedByNameCount) {
+  // Rank 0 keeps run-cumulative histograms, one per name, and no
+  // per-step records: after the first step, more steps over the same
+  // names add samples but no entries.
+  constexpr int kSteps = 50;
+  std::size_t names_after_first_step = 0;
+  par::run(2, [&](par::Comm& c) {
+    for (int step = 1; step <= kSteps; ++step) {
+      obs::hist_record("test.bounded.a", 1e-3);
+      obs::hist_record("test.bounded.b", 2e-3);
+      (void)obs::analysis::analyze_step(c, step);
+      if (c.rank() == 0 && step == 1)
+        names_after_first_step = obs::analysis::merged_histograms().size();
+    }
+  });
+  const auto hists = obs::analysis::merged_histograms();
+  EXPECT_EQ(hists.size(), names_after_first_step);
+  int found = 0;
+  for (const auto& [name, h] : hists)
+    if (name.rfind("test.bounded.", 0) == 0) {
+      EXPECT_EQ(h.count(), 2u * kSteps) << name;  // both ranks, every step
+      ++found;
+    }
+  EXPECT_EQ(found, 2);
 }

@@ -1,9 +1,9 @@
 // Memory observability (DESIGN.md §12): the per-rank obs::mem scope
 // table (whole-table replacement, running-maximum HWM, per-rank slots and
 // merge), the RSS sampler's clean unavailable fallback, the
-// analyze_memory cross-rank aggregation, and the rhea drift detector's
-// injection hook tripping the flight recorder with the leaking rank
-// named in the bundle.
+// analyze_memory cross-rank aggregation and its per-world last record,
+// and the rhea drift detector's injection hook tripping the flight
+// recorder with the leaking rank named in the bundle.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/analysis.hpp"
@@ -52,34 +54,44 @@ using MemDriftTest = MemRegistryTest;
 
 // ---- per-rank scope table ---------------------------------------------
 
+#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemRegistryTest, ScopeLeftOutOfNextReportReadsZero) {
   obs::set_mem_enabled(true);
-  par::run(1, [&](par::Comm&) {
+  par::run(1, [&](par::Comm& c) {
     obs::mem_report({{"test.kept", 10}, {"test.dropped", 20}});
     obs::mem_report({{"test.kept", 5}});  // replaces the whole table
     const obs::MemTable t = obs::mem_snapshot();
     ASSERT_EQ(t.size(), 1u);
     EXPECT_EQ(t[0].first, "test.kept");
     EXPECT_EQ(t[0].second, 5u);
+    (void)obs::analysis::analyze_memory(c, 1);
   });
   // Readable after the join.
-  const obs::RunMemory m = obs::run_memory();
-  ASSERT_EQ(m.by_rank.size(), 1u);
-  EXPECT_EQ(m.by_rank[0], 5u);
+  const obs::analysis::MemRecord m = obs::analysis::last_memory();
+  ASSERT_EQ(m.acc_by_rank.size(), 1u);
+  EXPECT_EQ(m.acc_by_rank[0], 5u);
   ASSERT_EQ(m.scopes.size(), 1u);
-  EXPECT_EQ(m.scopes[0].first, "test.kept");
+  EXPECT_EQ(m.scopes[0].scope, "test.kept");
 }
 
 TEST_F(MemRegistryTest, ReportIsNoOpOnUnboundThread) {
   obs::set_mem_enabled(true);
-  par::run(1, [&](par::Comm&) { obs::mem_report({{"test.unbound", 11}}); });
-  // This thread is not a rank thread: the report must not land anywhere.
-  obs::mem_report({{"test.unbound", 999}});
+  par::run(1, [&](par::Comm& c) {
+    obs::mem_report({{"test.unbound", 11}});
+    // That thread is not a rank thread: the report must not land anywhere.
+    std::thread([] {
+      obs::mem_report({{"test.unbound", 999}});
+      EXPECT_TRUE(obs::mem_snapshot().empty());
+    }).join();
+    (void)obs::analysis::analyze_memory(c, 1);
+  });
+  obs::mem_report({{"test.unbound", 999}});  // nor does the main thread's
   EXPECT_TRUE(obs::mem_snapshot().empty());
-  const obs::RunMemory m = obs::run_memory();
-  EXPECT_EQ(m.by_rank[0], 11u);
-  EXPECT_EQ(m.hwm, 11u);
+  const obs::analysis::MemRecord m = obs::analysis::last_memory();
+  EXPECT_EQ(m.acc_by_rank[0], 11u);
+  EXPECT_EQ(m.acc_hwm_max, 11u);
 }
+#endif  // ALPS_OBS_DISABLE
 
 TEST_F(MemRegistryTest, VecBytesTracksCapacity) {
   std::vector<double> v;
@@ -89,81 +101,69 @@ TEST_F(MemRegistryTest, VecBytesTracksCapacity) {
   EXPECT_GE(obs::vec_bytes(v), 100u * sizeof(double));
 }
 
+#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemRegistryTest, RankSlotsMergeAcrossFourRanks) {
   obs::set_mem_enabled(true);
   par::run(4, [&](par::Comm& c) {
     obs::mem_report(
         {{"test.merge", static_cast<std::uint64_t>(c.rank() + 1) * 1000}});
+    (void)obs::analysis::analyze_memory(c, 1);
   });
-  const obs::RunMemory m = obs::run_memory();
-  ASSERT_EQ(m.by_rank.size(), 4u);
+  const obs::analysis::MemRecord m = obs::analysis::last_memory();
+  ASSERT_EQ(m.acc_by_rank.size(), 4u);
   for (int r = 0; r < 4; ++r)
-    EXPECT_EQ(m.by_rank[static_cast<std::size_t>(r)],
+    EXPECT_EQ(m.acc_by_rank[static_cast<std::size_t>(r)],
               static_cast<std::uint64_t>(r + 1) * 1000);
   ASSERT_EQ(m.scopes.size(), 1u);
-  EXPECT_EQ(m.scopes[0].first, "test.merge");
-  EXPECT_EQ(m.scopes[0].second, 10000u);  // 1000 + 2000 + 3000 + 4000
+  EXPECT_EQ(m.scopes[0].scope, "test.merge");
+  EXPECT_EQ(m.scopes[0].total, 10000u);  // 1000 + 2000 + 3000 + 4000
 }
 
 TEST_F(MemRegistryTest, SlotsResetAtWorldBegin) {
   obs::set_mem_enabled(true);
-  par::run(2, [&](par::Comm&) { obs::mem_report({{"test.reset", 777}}); });
-  EXPECT_EQ(obs::run_memory().by_rank[0], 777u);
+  par::run(2, [&](par::Comm& c) {
+    obs::mem_report({{"test.reset", 777}});
+    (void)obs::analysis::analyze_memory(c, 1);
+  });
+  EXPECT_EQ(obs::analysis::last_memory().acc_by_rank[0], 777u);
   par::run(2, [&](par::Comm&) {
     // A fresh world starts from a clean slate — no stale carry-over.
     EXPECT_TRUE(obs::mem_snapshot().empty());
     EXPECT_EQ(obs::mem_hwm(), 0u);
   });
 }
-
-TEST_F(MemRegistryTest, RunMemoryBlockOmitsAccountedUntilSomeRankReports) {
-  obs::set_mem_enabled(true);
-  const auto encode = [] {
-    obs::TelemetryRecord w;
-    obs::json_memory(w, "memory", obs::run_memory());
-    return w.json();
-  };
-  par::run(2, [&](par::Comm&) {});
-  const std::string silent = encode();
-  EXPECT_EQ(silent.find("\"accounted\""), std::string::npos) << silent;
-  EXPECT_NE(silent.find("\"rss\""), std::string::npos) << silent;
-  EXPECT_NE(silent.find("\"scopes\""), std::string::npos) << silent;
-  par::run(2, [&](par::Comm& c) {
-    if (c.rank() == 1) obs::mem_report({{"test.reported", 64}});
-  });
-  const std::string reported = encode();
-  EXPECT_NE(reported.find("\"accounted\":{\"by_rank\":[0,64],"
-                          "\"total_bytes\":64,\"hwm_bytes\":64}"),
-            std::string::npos)
-      << reported;
-}
+#endif  // ALPS_OBS_DISABLE
 
 TEST_F(MemRegistryTest, DisabledRegistryIgnoresWrites) {
   obs::set_mem_enabled(false);
-  par::run(1, [&](par::Comm&) {
+  par::run(1, [&](par::Comm& c) {
     obs::mem_report({{"test.disabled", 123}});
     EXPECT_TRUE(obs::mem_snapshot().empty());
     EXPECT_EQ(obs::mem_hwm(), 0u);
+    EXPECT_FALSE(obs::analysis::analyze_memory(c, 1).enabled);
   });
-  EXPECT_FALSE(obs::run_memory().available);
+  EXPECT_FALSE(obs::analysis::last_memory().enabled);
 }
 
 // ---- high-water marks --------------------------------------------------
 
+#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemHwmTest, HwmIsRunningMaxOfReportedTotals) {
   obs::set_mem_enabled(true);
-  par::run(1, [&](par::Comm&) {
+  par::run(1, [&](par::Comm& c) {
     obs::mem_report({{"test.a", 60}, {"test.b", 40}});
     EXPECT_EQ(obs::mem_hwm(), 100u);
     obs::mem_report({{"test.a", 1u << 20}});
     EXPECT_EQ(obs::mem_hwm(), 1u << 20);
     obs::mem_report({{"test.a", 100}});  // dropping back keeps the HWM
     EXPECT_EQ(obs::mem_hwm(), 1u << 20);
+    (void)obs::analysis::analyze_memory(c, 1);
   });
-  const obs::RunMemory m = obs::run_memory();
-  EXPECT_EQ(m.by_rank[0], 100u);
-  EXPECT_EQ(m.hwm, 1u << 20);
+  const obs::analysis::MemRecord m = obs::analysis::last_memory();
+  EXPECT_EQ(m.acc_by_rank[0], 100u);
+  EXPECT_EQ(m.acc_hwm_max, 1u << 20);
 }
+#endif  // ALPS_OBS_DISABLE
 
 // ---- RSS sampling ------------------------------------------------------
 
@@ -184,6 +184,7 @@ TEST_F(MemRssTest, LinuxSampleIsOrderedWhenAvailable) {
 
 // ---- cross-rank aggregation --------------------------------------------
 
+#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemAnalysisTest, AnalyzeMemoryGathersRankStats) {
   obs::set_mem_enabled(true);
   obs::analysis::MemRecord rec;
@@ -226,6 +227,7 @@ TEST_F(MemAnalysisTest, AnalyzeMemoryGathersRankStats) {
   EXPECT_EQ(rec.subsystems[1].scope, "beta");
   EXPECT_EQ(rec.subsystems[1].total, 200u);
 }
+#endif  // ALPS_OBS_DISABLE
 
 TEST_F(MemAnalysisTest, DisabledAnalyzeReturnsInertRecord) {
   obs::set_mem_enabled(false);
@@ -233,6 +235,27 @@ TEST_F(MemAnalysisTest, DisabledAnalyzeReturnsInertRecord) {
     const obs::analysis::MemRecord r = obs::analysis::analyze_memory(c, 1);
     EXPECT_FALSE(r.enabled);
   });
+}
+
+#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
+TEST_F(MemAnalysisTest, SnapshotAfterWorldWithoutRecordIsUnavailable) {
+  // What bench::Reporter::snapshot_obs writes for a run's memory block.
+  const auto snapshot = [] {
+    return obs::analysis::memory_json(obs::analysis::last_memory(), 0);
+  };
+  obs::set_mem_enabled(true);
+  par::run(2, [](par::Comm& c) {
+    obs::mem_report({{"test.earlier", 64}});
+    (void)obs::analysis::analyze_memory(c, 1);
+  });
+  EXPECT_NE(snapshot().find("\"total_bytes\":128"), std::string::npos)
+      << snapshot();
+  // Neither a silent world nor one that only analyzes steps may report
+  // the earlier world's record.
+  par::run(2, [](par::Comm&) { obs::mem_report({{"test.later", 32}}); });
+  EXPECT_EQ(snapshot(), "{\"available\":false}");
+  par::run(2, [](par::Comm& c) { (void)obs::analysis::analyze_step(c, 1); });
+  EXPECT_EQ(snapshot(), "{\"available\":false}");
 }
 
 TEST_F(MemAnalysisTest, MemoryJsonEmitsBlockAndCleanRssFallback) {
@@ -258,9 +281,11 @@ TEST_F(MemAnalysisTest, MemoryJsonEmitsBlockAndCleanRssFallback) {
   EXPECT_NE(rss_obj.find("\"available\":false"), std::string::npos);
   EXPECT_EQ(rss_obj.find("bytes"), std::string::npos);
 }
+#endif  // ALPS_OBS_DISABLE
 
 // ---- drift detector ----------------------------------------------------
 
+#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemDriftTest, InjectTripsPanicAndNamesLeakingRank) {
   const std::string dump_dir = temp_path("alps_mem_drift_dump");
   std::filesystem::remove_all(dump_dir);
@@ -304,9 +329,12 @@ TEST_F(MemDriftTest, InjectTripsPanicAndNamesLeakingRank) {
   ASSERT_TRUE(mem.good());
   std::stringstream ms;
   ms << mem.rdbuf();
-  EXPECT_NE(ms.str().find("by_rank"), std::string::npos);
+  EXPECT_TRUE(std::regex_search(
+      ms.str(), std::regex(R"("accounted":\{[^}]*"argmax_rank":1[,}])")))
+      << ms.str();
   std::filesystem::remove_all(dump_dir);
 }
+#endif  // ALPS_OBS_DISABLE
 
 TEST_F(MemDriftTest, SteadyFootprintDoesNotTrip) {
   const std::string dump_dir = temp_path("alps_mem_steady_dump");

@@ -45,7 +45,6 @@ class ServeTest : public ::testing::Test {
   void TearDown() override {
     obs::serve_stop();
     obs::metrics_reset_for_testing();
-    obs::analysis::reset_records();
     obs::set_analysis_enabled(true);  // default-on
   }
 };
@@ -238,7 +237,8 @@ TEST_F(ServeTest, CrossRankMergeThroughAnalyzeStepMatchesDirectRecording) {
     const obs::analysis::PhaseLatency* found = nullptr;
     for (const auto& l : rec.latency)
       if (l.phase == "test.serve.merge") found = &l;
-#ifndef ALPS_OBS_DISABLE
+    // hist_record is a plain call, so this holds with observability
+    // compiled out too.
     ASSERT_NE(found, nullptr) << "P=" << nranks;
     EXPECT_EQ(found->hist.count(), direct.count()) << "P=" << nranks;
     EXPECT_NEAR(found->hist.sum(), direct.sum(), 1e-9 * direct.sum());
@@ -246,12 +246,6 @@ TEST_F(ServeTest, CrossRankMergeThroughAnalyzeStepMatchesDirectRecording) {
       ASSERT_EQ(found->hist.bucket(i), direct.bucket(i))
           << "P=" << nranks << " bucket " << i;
     expect_quantiles_within_4pct(found->hist, samples);
-#else
-    // Observability compiled out: analyze_step is a no-op shell and no
-    // histograms travel.
-    EXPECT_EQ(found, nullptr);
-#endif
-    obs::analysis::reset_records();
   }
 }
 
