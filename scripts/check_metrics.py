@@ -14,14 +14,19 @@ stepping, asserts:
     including series for the explicitly instrumented "fem.apply" and
     "amg.vcycle" phases,
   * alps_step increases monotonically across two scrapes,
-  * /status is valid JSON whose eta_s and step_rate_per_s are finite
-    (and positive) once the rate window has filled,
+  * /status is the step's telemetry record (it passes
+    check_telemetry.py's record checks, with null physics allowed: the
+    diagnostics are computed only when telemetry is on) plus the serving
+    members, whose eta_s and step_rate_per_s are finite (and positive)
+    once the rate window has filled,
   * /healthz answers 200 while healthy.
 
 With --nan, the run is started with nan_inject_step so the sentinels
 trip; the script then polls /healthz until it observes the 503 (the
 driver lingers for ALPS_METRICS_LINGER seconds before exiting 3 to make
-this observable) and asserts the process exits with code 3.
+this observable) and asserts the process exits with code 3. The run's
+flight-recorder bundle goes to a temporary directory that is removed
+afterwards.
 
 Usage:
   check_metrics.py build/examples/rhea_main
@@ -39,6 +44,8 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
+
+from check_telemetry import RecordState, check_record
 
 METRIC_LINE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?\s+(\S+)$")
@@ -203,9 +210,12 @@ def run_healthy(binary: str, ranks: int, steps: int) -> None:
         status, body = get(port, "/status")
         if status != 200:
             fail(f"/status returned {status}")
+        check_record(body, "/status",
+                     argparse.Namespace(min_steps=None, ranks=ranks),
+                     RecordState(), null_physics=True)
         st = json.loads(body)
-        for key in ("step", "elements", "dofs", "eta_s",
-                    "step_rate_per_s", "target_steps"):
+        for key in ("healthy", "health_reason", "eta_s", "step_rate_per_s",
+                    "target_steps", "telemetry_records"):
             if key not in st:
                 fail(f"/status missing {key!r}")
         # Two publishes have happened by now, so the rate window is live.
@@ -235,9 +245,9 @@ def run_nan(binary: str, ranks: int) -> None:
     cfg.write(f"ranks = {ranks}\nsteps = 10\ntarget_elements = 800\n"
               f"nan_inject_step = 3\n")
     cfg.close()
-    dump = tempfile.mkdtemp(prefix="check_metrics_dump_")
+    dump = tempfile.TemporaryDirectory(prefix="check_metrics_dump_")
     env = dict(os.environ, ALPS_METRICS_PORT="0", ALPS_METRICS_LINGER="6",
-               ALPS_DUMP_DIR=dump)
+               ALPS_DUMP_DIR=dump.name)
     proc = subprocess.Popen([binary, cfg.name], stdout=subprocess.PIPE,
                             text=True, env=env)
     try:
@@ -262,6 +272,7 @@ def run_nan(binary: str, ranks: int) -> None:
     finally:
         rc = proc.wait(timeout=300)
         os.unlink(cfg.name)
+        dump.cleanup()
     if rc != 3:
         fail(f"expected sentinel exit code 3, got {rc}")
     print(f"check_metrics: OK: /healthz flipped to 503 ({saw_503!r}) "

@@ -316,10 +316,11 @@ class RecordState:
         self.blamed = set()
 
 
-def check_record(line, where, args, st, dying=False) -> None:
+def check_record(line, where, args, st, null_physics=False) -> None:
     """Validate one telemetry line; st carries the cross-record state.
-    A dying run's records (the flight-recorder tail) may carry null
-    physics diagnostics: the writer turns non-finite values into null."""
+    With null_physics the physics diagnostics may be null: a dying run's
+    records (the flight-recorder tail) carry non-finite values, which the
+    writer turns into null, and /status has none without telemetry."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as e:
@@ -330,7 +331,7 @@ def check_record(line, where, args, st, dying=False) -> None:
         if key not in rec:
             fail(f"{where}: missing required key \"{key}\"")
         v = rec[key]
-        if dying and key in PHYSICS and v is None:
+        if null_physics and key in PHYSICS and v is None:
             continue
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             fail(f"{where}: \"{key}\" is not numeric: {v!r}")
@@ -439,7 +440,7 @@ def check_bundle(dump_dir: str, args) -> None:
     tail_lines = read_lines(tail)
     st = RecordState()
     for i, line in enumerate(tail_lines, start=1):
-        check_record(line, f"{tail}:{i}", args, st, dying=True)
+        check_record(line, f"{tail}:{i}", args, st, null_physics=True)
 
     memory = os.path.join(dump_dir, "memory.json")
     check_memory_block(load_json(memory), memory, st.hwm)

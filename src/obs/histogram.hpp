@@ -116,11 +116,7 @@ class HistSpan {
   std::uint64_t t0_;
 };
 
-#ifndef ALPS_OBS_DISABLE
 #define OBS_HIST_SPAN(name) \
   ::alps::obs::HistSpan ALPS_OBS_CONCAT(obs_hist_, __LINE__)(name)
-#else
-#define OBS_HIST_SPAN(name) ((void)0)
-#endif
 
 }  // namespace alps::obs

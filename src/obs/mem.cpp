@@ -20,7 +20,7 @@ namespace {
 // -1 = not yet initialized from ALPS_MEM (default: on).
 std::atomic<int> g_mem{-1};
 
-[[maybe_unused]] int mem_init() {  // unused under ALPS_OBS_DISABLE
+int mem_init() {
   int on = 1;
   if (const char* env = std::getenv("ALPS_MEM")) {
     const std::string v(env);
@@ -69,12 +69,8 @@ MemRankSlot& checked_slot(int rank) {
 }  // namespace
 
 bool mem_enabled() {
-#ifdef ALPS_OBS_DISABLE
-  return false;
-#else
   const int v = g_mem.load(std::memory_order_relaxed);
   return (v >= 0 ? v : mem_init()) != 0;
-#endif
 }
 
 void set_mem_enabled(bool on) {

@@ -25,8 +25,7 @@
 // to the phase that closed, so a spike names the phase that caused it.
 //
 // Enablement: ALPS_MEM (default ON — accounting is one table per
-// timestep, never per-element) or set_mem_enabled(). -DALPS_OBS_DISABLE
-// pins mem_enabled() to false.
+// timestep, never per-element) or set_mem_enabled().
 
 #include <cstdint>
 #include <string>

@@ -23,9 +23,8 @@
 // atomic load. Phase accumulation and counters stay on regardless of the
 // runtime switches — they replace the old hand-threaded rhea::PhaseTimers
 // bookkeeping and cost one thread-local add on paths that are never
-// per-element hot. Compiling with -DALPS_OBS_DISABLE removes the span
-// macros entirely, OBS_PHASE_SPAN included, so in that build the phase
-// accumulators (and rhea::PhaseTimers) read zero; counters stay.
+// per-element hot, so they have no off switch: rhea::PhaseTimers and the
+// benches' phase tables read them.
 
 #include <atomic>
 #include <cstddef>
@@ -108,7 +107,6 @@ class Span {
   bool phase_ = false;   // add to the phase accumulator on close
 };
 
-#ifndef ALPS_OBS_DISABLE
 #define ALPS_OBS_CONCAT2(a, b) a##b
 #define ALPS_OBS_CONCAT(a, b) ALPS_OBS_CONCAT2(a, b)
 /// Trace-only scoped span (solver category).
@@ -122,11 +120,6 @@ class Span {
 #define OBS_COMM_SPAN(name)                              \
   ::alps::obs::Span ALPS_OBS_CONCAT(obs_span_, __LINE__)( \
       name, ::alps::obs::Cat::kComm)
-#else
-#define OBS_SPAN(name) ((void)0)
-#define OBS_PHASE_SPAN(name) ((void)0)
-#define OBS_COMM_SPAN(name) ((void)0)
-#endif
 
 /// Completed span events of `rank`, in completion order. Call only after
 /// par::run has returned (the rank threads are the only writers).

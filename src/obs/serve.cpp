@@ -1,7 +1,5 @@
 #include "obs/serve.hpp"
 
-#ifndef ALPS_OBS_DISABLE
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -19,16 +17,15 @@
 #include <deque>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
-
-#include "obs/telemetry.hpp"
 
 namespace alps::obs {
 
 namespace {
 
-// ---- double-buffered snapshot publication ------------------------------
+// ---- double-buffered report publication --------------------------------
 //
 // Two pre-rendered response slots. The publisher (simulation rank 0)
 // writes the retired slot only after its reader count drains to zero,
@@ -121,34 +118,87 @@ void append_gauge(std::string& out, const char* name, const char* help,
 
 }  // namespace
 
-std::string prometheus_text(const MetricsSnapshot& snap) {
+void json_step_report(TelemetryRecord& w, const StepReport& r) {
+  w.field("step", r.step)
+      .field("time", r.time)
+      .field("dt", r.dt)
+      .field("ranks", r.ranks)
+      .field("elements", r.elements)
+      .field("dofs", r.dofs)
+      .field("partition_imbalance", r.partition_imbalance)
+      .field("per_level", std::span<const std::int64_t>(r.per_level));
+  if (!r.solves.empty()) {
+    w.field("picard_iterations", r.picard_iterations)
+        .field("amg_vcycles", r.amg_vcycles);
+    w.arr_open("solves");
+    for (const SolveRow& row : r.solves)
+      w.obj_open()
+          .field("status", row.status)
+          .field("iterations", row.iterations)
+          .field("relres", row.relres)
+          .obj_close();
+    w.arr_close();
+  }
+  w.field("nusselt", r.nusselt)
+      .field("v_rms", r.v_rms)
+      .field("t_min", r.t_min)
+      .field("t_max", r.t_max)
+      .field("t_mean", r.t_mean);
+  const StepReport::Timings& t = r.timings;
+  w.obj_open("timings")
+      .field("adapted", t.adapted)
+      .field("mark", t.mark)
+      .field("coarsen_refine", t.coarsen_refine)
+      .field("balance", t.balance)
+      .field("partition", t.partition)
+      .field("extract", t.extract)
+      .field("interpolate", t.interpolate)
+      .field("transfer", t.transfer)
+      .field("time_integration", t.time_integration)
+      .field("stokes", t.stokes);
+  if (t.adapted)
+    w.field("extract_reused", t.extract_reused)
+        .field("extract_recomputed", t.extract_recomputed)
+        .field("extract_fallback", t.extract_fallback);
+  w.obj_close()
+      .field_json("critical_path", analysis::critical_path_json(r.analysis))
+      .field_json("wait_states", analysis::wait_states_json(r.analysis))
+      .field_json("latency", analysis::latency_json(r.analysis));
+  if (r.memory.enabled)
+    w.field_json("memory",
+                 analysis::memory_json(r.memory, r.dofs, r.drift_json));
+}
+
+std::string prometheus_text(
+    const StepReport& r, bool healthy,
+    const std::vector<std::pair<std::string, Histogram>>& hists) {
+  double wait_blocked_s = 0;
+  for (const analysis::PhaseWaits& w : r.analysis.waits)
+    wait_blocked_s += w.w.blocked_s();
   std::string out;
   out.reserve(16384);
   append_gauge(out, "alps_up", "1 while the metrics publisher is stepping", 1);
   append_gauge(out, "alps_step", "Current simulation step",
-               static_cast<double>(snap.step));
-  append_gauge(out, "alps_sim_time", "Simulation time (model units)",
-               snap.sim_time);
-  append_gauge(out, "alps_dt", "Current time-step size", snap.dt);
+               static_cast<double>(r.step));
+  append_gauge(out, "alps_sim_time", "Simulation time (model units)", r.time);
+  append_gauge(out, "alps_dt", "Current time-step size", r.dt);
   append_gauge(out, "alps_dofs", "Global velocity-pressure dofs",
-               static_cast<double>(snap.dofs));
+               static_cast<double>(r.dofs));
   append_gauge(out, "alps_elements", "Global element count",
-               static_cast<double>(snap.elements));
-  append_gauge(out, "alps_ranks", "World size",
-               static_cast<double>(snap.ranks));
+               static_cast<double>(r.elements));
+  append_gauge(out, "alps_ranks", "World size", static_cast<double>(r.ranks));
   append_gauge(out, "alps_partition_imbalance",
                "max_rank_elements * ranks / total_elements",
-               snap.partition_imbalance);
+               r.partition_imbalance);
   append_gauge(out, "alps_cp_imbalance",
                "Step critical-path length over mean path length",
-               snap.cp_imbalance);
+               r.analysis.cp_imbalance);
   append_gauge(out, "alps_healthy", "1 healthy, 0 after a sentinel trip",
-               snap.healthy ? 1 : 0);
+               healthy ? 1 : 0);
   append_gauge(out, "alps_wait_blocked_seconds",
-               "Rank-summed blocked time in the last step",
-               snap.wait_blocked_s);
-  if (!snap.solves.empty()) {
-    const SolveRow& last = snap.solves.back();
+               "Rank-summed blocked time in the last step", wait_blocked_s);
+  if (!r.solves.empty()) {
+    const SolveRow& last = r.solves.back();
     append_gauge(out, "alps_solver_iterations",
                  "Krylov iterations of the last Stokes solve",
                  static_cast<double>(last.iterations));
@@ -156,17 +206,19 @@ std::string prometheus_text(const MetricsSnapshot& snap) {
                  "Relative residual of the last Stokes solve", last.relres);
     append_gauge(out, "alps_picard_iterations",
                  "Picard iterations of the last Stokes solve",
-                 static_cast<double>(snap.picard_iterations));
+                 static_cast<double>(r.picard_iterations));
   }
-  if (snap.mem_available) {
+  if (r.memory.enabled) {
     append_gauge(out, "alps_mem_accounted_bytes",
                  "Registry-accounted bytes, summed over ranks",
-                 static_cast<double>(snap.mem_accounted_total));
+                 static_cast<double>(r.memory.acc_total));
     append_gauge(out, "alps_mem_rss_max_bytes", "Worst single-rank RSS",
-                 static_cast<double>(snap.mem_rss_max));
+                 r.memory.rss_available
+                     ? static_cast<double>(r.memory.rss_max)
+                     : 0.0);
   }
 
-  for (const auto& [name, value] : snap.counters) {
+  for (const auto& [name, value] : r.analysis.counters) {
     const std::string m = "alps_" + sanitize_metric(name) + "_total";
     out += "# TYPE " + m + " counter\n";
     out += m + ' ' + std::to_string(value) + '\n';
@@ -179,7 +231,7 @@ std::string prometheus_text(const MetricsSnapshot& snap) {
       "# HELP alps_latency_seconds Per-phase duration distribution "
       "(log-bucketed, growth 1.08)\n"
       "# TYPE alps_latency_seconds histogram\n";
-  for (const auto& [name, h] : snap.hists) {
+  for (const auto& [name, h] : hists) {
     if (h.empty()) continue;
     int lo = 0, hi = Histogram::kBucketCount - 1;
     while (lo < Histogram::kBucketCount && h.bucket(lo) == 0) ++lo;
@@ -204,36 +256,16 @@ std::string prometheus_text(const MetricsSnapshot& snap) {
   return out;
 }
 
-std::string status_json(const MetricsSnapshot& snap, double eta_s,
-                        double step_rate_per_s, long target_steps) {
+std::string status_text(const StepReport& r, bool healthy,
+                        const std::string& health_reason, long target_steps,
+                        double step_rate_per_s, double eta_s) {
   TelemetryRecord w;
-  w.field("step", snap.step)
-      .field("time", snap.sim_time)
-      .field("dt", snap.dt)
-      .field("dofs", snap.dofs)
-      .field("elements", snap.elements)
-      .field("ranks", snap.ranks)
-      .field("partition_imbalance", snap.partition_imbalance)
-      .field("cp_imbalance", snap.cp_imbalance)
-      .field("healthy", snap.healthy)
-      .field("health_reason", snap.health_reason)
-      .obj_open("solver");
-  if (snap.solves.empty()) {
-    w.field_json("status", "null");
-  } else {
-    w.field("picard_iterations", snap.picard_iterations);
-    json_solves(w, "solves", snap.solves);
-  }
-  w.obj_close().field("wait_blocked_s", snap.wait_blocked_s);
-  if (snap.mem_available)
-    w.obj_open("memory")
-        .field("accounted_total_bytes", snap.mem_accounted_total)
-        .field("rss_max_bytes", snap.mem_rss_max)
-        .obj_close();
+  json_step_report(w, r);
   // An unknown target, rate or ETA goes to the writer as NaN, which it
   // writes as null.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  return w
+  return w.field("healthy", healthy)
+      .field("health_reason", health_reason)
       .field("target_steps",
              target_steps >= 0 ? static_cast<double>(target_steps) : nan)
       .field("step_rate_per_s", step_rate_per_s > 0 ? step_rate_per_s : nan)
@@ -244,7 +276,7 @@ std::string status_json(const MetricsSnapshot& snap, double eta_s,
 
 // ---- publishing --------------------------------------------------------
 
-void metrics_publish(const MetricsSnapshot& snap) {
+void metrics_publish(const StepReport& r) {
   ServeState& s = state();
   std::lock_guard<std::mutex> lock(s.pub_mtx);
 
@@ -252,7 +284,7 @@ void metrics_publish(const MetricsSnapshot& snap) {
   const double now = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - s.epoch)
                          .count();
-  s.window.emplace_back(now, snap.step);
+  s.window.emplace_back(now, r.step);
   while (s.window.size() > 32) s.window.pop_front();
   double rate = 0;
   if (s.window.size() >= 2) {
@@ -263,25 +295,22 @@ void metrics_publish(const MetricsSnapshot& snap) {
   const long target = s.target_steps.load();
   double eta = -1;
   if (target >= 0 && rate > 0)
-    eta = target > snap.step ? (target - snap.step) / rate : 0.0;
+    eta = target > r.step ? (target - r.step) / rate : 0.0;
 
   // Convergence tracking: consecutive steps whose last solve did not
   // converge, whatever the reason (la::to_string's tokens).
-  if (!snap.solves.empty()) {
-    const bool bad = snap.solves.back().status != "converged";
+  if (!r.solves.empty()) {
+    const bool bad = r.solves.back().status != "converged";
     s.consecutive_unconverged = bad ? s.consecutive_unconverged + 1 : 0;
   }
-
-  MetricsSnapshot eff = snap;
+  bool healthy = true;
+  std::string reason;
   if (s.marked_unhealthy.load()) {
-    eff.healthy = false;
-    if (eff.health_reason.empty()) eff.health_reason = s.marked_reason;
-  }
-  if (s.consecutive_unconverged >= s.stagnation_limit.load()) {
-    eff.healthy = false;
-    if (eff.health_reason.empty())
-      eff.health_reason = "unconverged_solves=" +
-                          std::to_string(s.consecutive_unconverged);
+    healthy = false;
+    reason = s.marked_reason;
+  } else if (s.consecutive_unconverged >= s.stagnation_limit.load()) {
+    healthy = false;
+    reason = "unconverged_solves=" + std::to_string(s.consecutive_unconverged);
   }
 
   const int c = s.cur.load();
@@ -290,10 +319,10 @@ void metrics_publish(const MetricsSnapshot& snap) {
   // short request at a time, so this spin is bounded by one response.
   while (s.readers[next].load() != 0) std::this_thread::yield();
   Published& p = s.bufs[next];
-  p.metrics = prometheus_text(eff);
-  p.status = status_json(eff, eta, rate, target);
-  p.healthy = eff.healthy;
-  p.health_reason = eff.health_reason;
+  p.metrics = prometheus_text(r, healthy, analysis::merged_histograms());
+  p.status = status_text(r, healthy, reason, target, rate, eta);
+  p.healthy = healthy;
+  p.health_reason = reason;
   s.cur.store(next);
 }
 
@@ -546,5 +575,3 @@ bool serve_active() { return state().active.load(); }
 int serve_port() { return state().port.load(); }
 
 }  // namespace alps::obs
-
-#endif  // ALPS_OBS_DISABLE

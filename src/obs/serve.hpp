@@ -1,71 +1,92 @@
 #pragma once
-// obs::serve — rank-0 in-situ metrics endpoint (DESIGN.md §14).
+// obs::serve — the per-step report and the rank-0 in-situ metrics
+// endpoint (DESIGN.md §14).
 //
-// A tiny dependency-free blocking HTTP server on a background thread,
-// off by default and enabled with ALPS_METRICS_PORT (port number; 0
-// binds an ephemeral port). It binds 127.0.0.1 unless ALPS_METRICS_BIND
-// overrides the address. Endpoints:
+// rhea::Simulation fills one StepReport per step on rank 0 while
+// telemetry or the endpoint is on. Its three encodings: the telemetry
+// line (json_step_report's members), /status (those members followed by
+// the serving ones) and /metrics (a Prometheus projection of it).
 //
-//   /metrics         Prometheus text exposition: run gauges, cumulative
-//                    counters, and one histogram series per phase
-//                    (alps_latency_seconds{phase=...}).
-//   /status          JSON run manifest: step, sim time, dt, dofs,
-//                    elements, health, the step's solver rows, and a
-//                    wall-clock ETA from a sliding-window step rate.
-//   /healthz         200 "ok" while stepping; 503 after a sentinel trip
-//                    or >= N consecutive stagnated/failed solves.
+// The endpoint is a dependency-free blocking HTTP server on a background
+// thread, enabled with ALPS_METRICS_PORT (0 binds an ephemeral port) on
+// 127.0.0.1 or ALPS_METRICS_BIND. Endpoints:
 //
-// Concurrency: the simulation thread (rank 0, once per step) renders a
-// MetricsSnapshot into one of two pre-allocated response buffers and
-// atomically publishes it; the server thread pins a buffer with a
-// per-slot reader count before reading and the publisher never rewrites
-// a slot that still has readers. No locks on the read side, no
-// allocation races — the protocol TSan is pointed at in CI. All
-// cross-rank data in the snapshot arrives via the per-step obs::analysis
-// exchange: serving metrics adds zero collectives.
+//   /metrics   run gauges, cumulative counters, and one histogram series
+//              per phase (alps_latency_seconds{phase=...}).
+//   /status    the step's telemetry record, then "healthy",
+//              "health_reason", "target_steps", "step_rate_per_s",
+//              "eta_s" (sliding-window wall clock), "telemetry_records".
+//   /healthz   200 "ok" while stepping; 503 after a sentinel trip or
+//              >= N consecutive steps whose last solve did not converge.
 //
-// Compiled out (inline no-op stubs) under -DALPS_OBS_DISABLE.
+// Concurrency: rank 0 renders each report into one of two pre-allocated
+// response buffers and atomically publishes it; the server thread pins a
+// buffer with a per-slot reader count before reading and the publisher
+// never rewrites a slot that still has readers — lock-free on the read
+// side, the protocol TSan is pointed at in CI. All cross-rank data in
+// the report arrives via the per-step obs::analysis exchange: serving
+// adds zero collectives.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/analysis.hpp"
 #include "obs/histogram.hpp"
 #include "obs/telemetry.hpp"
 
 namespace alps::obs {
 
-/// Everything one /metrics + /status render needs, filled by the
-/// simulation loop on rank 0 from the step's analysis record.
-struct MetricsSnapshot {
-  int step = 0;
-  double sim_time = 0;
-  double dt = 0;
-  std::int64_t dofs = 0;
-  std::int64_t elements = 0;
-  int ranks = 0;
-  double partition_imbalance = 1;
-  double cp_imbalance = 1;
-  // This step's Stokes solves, one row per Picard iteration; empty on
-  // steps that only advanced energy (convergence tracking ignores those,
-  // and the Prometheus solver gauges report the last row).
-  std::vector<SolveRow> solves;
-  int picard_iterations = 0;
-  bool healthy = true;
-  std::string health_reason;  // "" while healthy
-  // Rank-summed cumulative counters (analysis::StepRecord::counters).
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  // Run-cumulative cross-rank histograms (analysis::merged_histograms).
-  std::vector<std::pair<std::string, Histogram>> hists;
-  // Step wait-state total over ranks (late_sender + transfer + collective).
-  double wait_blocked_s = 0;
-  bool mem_available = false;
-  std::uint64_t mem_accounted_total = 0;
-  std::uint64_t mem_rss_max = 0;
+/// One Krylov solve of a Picard iteration.
+struct SolveRow {
+  std::string status;  // la::to_string token
+  int iterations = 0;
+  double relres = 0;
 };
 
-#ifndef ALPS_OBS_DISABLE
+/// Rank 0's facts about one timestep: the one record behind the
+/// telemetry line, /status and /metrics.
+struct StepReport {
+  int step = 0;
+  double time = 0;
+  double dt = 0;
+  int ranks = 0;
+  std::int64_t elements = 0;
+  std::int64_t dofs = 0;
+  double partition_imbalance = 1;
+  std::vector<std::int64_t> per_level;  // global elements per level
+  // This step's Stokes solves, one row per Picard iteration; empty on
+  // steps that only advanced energy, which then carry no solver fields.
+  std::vector<SolveRow> solves;
+  int picard_iterations = 0;
+  std::uint64_t amg_vcycles = 0;
+  // Physics diagnostics: computed only with telemetry on (their allreduce
+  // is not spent on /status alone); NaN, written as null, otherwise.
+  double nusselt = std::numeric_limits<double>::quiet_NaN();
+  double v_rms = std::numeric_limits<double>::quiet_NaN();
+  double t_min = std::numeric_limits<double>::quiet_NaN();
+  double t_max = std::numeric_limits<double>::quiet_NaN();
+  double t_mean = std::numeric_limits<double>::quiet_NaN();
+  // Rank 0's phase seconds for this step (the "timings" block).
+  struct Timings {
+    bool adapted = false;
+    double mark = 0, coarsen_refine = 0, balance = 0, partition = 0,
+           extract = 0, interpolate = 0, transfer = 0, time_integration = 0,
+           stokes = 0;
+    // The most recent EXTRACTMESH's reuse statistics (adapting steps).
+    std::int64_t extract_reused = 0, extract_recomputed = 0;
+    bool extract_fallback = false;
+  } timings;
+  analysis::StepRecord analysis;
+  analysis::MemRecord memory;  // reported only when memory.enabled
+  std::string drift_json;      // the memory block's "drift" member
+};
+
+/// Write the report's members into `w`: the telemetry record's keys, in
+/// their order. Every telemetry key is spelled here and nowhere else.
+void json_step_report(TelemetryRecord& w, const StepReport& r);
 
 /// Start the server on `port` (0 = ephemeral) at ALPS_METRICS_BIND or
 /// 127.0.0.1. Returns the bound port, or -1 with `*err` set. No-op
@@ -83,10 +104,11 @@ bool serve_active();
 /// Bound port of the running server (-1 when inactive).
 int serve_port();
 
-/// Render and atomically publish `snap`; the server thread picks it up
-/// on the next request. Also feeds the ETA window and the convergence
-/// tracker. Call from one thread (rank 0 of the step loop).
-void metrics_publish(const MetricsSnapshot& snap);
+/// Render and atomically publish `r`; the server thread picks it up on
+/// the next request. Also feeds the ETA window and the convergence
+/// tracker, and reads the run-cumulative histograms. Call from one thread
+/// (rank 0 of the step loop).
+void metrics_publish(const StepReport& r);
 /// Total steps this run intends to take (-1 = unknown): the ETA target.
 void metrics_set_target_steps(long steps);
 /// Consecutive steps whose last solve did not converge (any status but
@@ -102,33 +124,17 @@ void metrics_mark_unhealthy(const std::string& reason);
 /// otherwise.
 void metrics_linger_if_unhealthy();
 /// Clear the sticky unhealthy mark, the unconverged run, the ETA window
-/// and any published snapshot. Tests only: real runs never recover.
+/// and any published report. Tests only: real runs never recover.
 void metrics_reset_for_testing();
 
-/// Pure renderers, exposed for tests (exactly what /metrics and /status
-/// serve for `snap`).
-std::string prometheus_text(const MetricsSnapshot& snap);
-std::string status_json(const MetricsSnapshot& snap, double eta_s,
-                        double step_rate_per_s, long target_steps);
-
-#else  // ALPS_OBS_DISABLE: observability is compiled out entirely.
-
-inline int serve_start(int, std::string* = nullptr) { return -1; }
-inline int serve_maybe_start() { return -1; }
-inline void serve_stop() {}
-inline bool serve_active() { return false; }
-inline int serve_port() { return -1; }
-inline void metrics_publish(const MetricsSnapshot&) {}
-inline void metrics_set_target_steps(long) {}
-inline int metrics_set_stagnation_limit(int) { return 0; }
-inline void metrics_mark_unhealthy(const std::string&) {}
-inline void metrics_linger_if_unhealthy() {}
-inline void metrics_reset_for_testing() {}
-inline std::string prometheus_text(const MetricsSnapshot&) { return {}; }
-inline std::string status_json(const MetricsSnapshot&, double, double, long) {
-  return {};
-}
-
-#endif
+/// The renderers, exposed for tests: exactly what /metrics and /status
+/// serve for `r`. `hists` are the run-cumulative latency histograms; an
+/// unknown target (< 0), rate (<= 0) or ETA (< 0) is written as null.
+std::string prometheus_text(
+    const StepReport& r, bool healthy,
+    const std::vector<std::pair<std::string, Histogram>>& hists);
+std::string status_text(const StepReport& r, bool healthy,
+                        const std::string& health_reason, long target_steps,
+                        double step_rate_per_s, double eta_s);
 
 }  // namespace alps::obs

@@ -177,18 +177,6 @@ void json_latency_row(TelemetryRecord& w, const std::string& phase,
       .obj_close();
 }
 
-void json_solves(TelemetryRecord& w, const char* key,
-                 const std::vector<SolveRow>& rows) {
-  w.arr_open(key);
-  for (const SolveRow& r : rows)
-    w.obj_open()
-        .field("status", r.status)
-        .field("iterations", r.iterations)
-        .field("relres", r.relres)
-        .obj_close();
-  w.arr_close();
-}
-
 // ---- sink -------------------------------------------------------------
 
 void telemetry_emit(const TelemetryRecord& rec) {

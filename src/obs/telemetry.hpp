@@ -18,9 +18,10 @@
 // dumps an empty tail.
 //
 // The record builder is also the repository's one JSON writer, and the
-// facts several outputs report (counters, phases, latency rows, solver
-// rows) each have one encoder here; the memory block's encoder is
-// obs::analysis::memory_json.
+// facts several outputs report (counters, phases, latency rows) each have
+// one encoder here; the memory block's encoder is
+// obs::analysis::memory_json, and the step record's is
+// obs::json_step_report (obs/serve.hpp).
 //
 // Enablement: ALPS_TELEMETRY=1 (or any non-empty value but "0") turns the
 // stream on; ALPS_TELEMETRY_OUT overrides the output path (default
@@ -128,18 +129,6 @@ void json_phases(TelemetryRecord& w, const char* key,
 /// BENCH_*.json latency rows).
 void json_latency_row(TelemetryRecord& w, const std::string& phase,
                       const Histogram& h);
-
-/// One Krylov solve of a Picard iteration.
-struct SolveRow {
-  std::string status;  // la::to_string token
-  int iterations = 0;
-  double relres = 0;
-};
-/// [{"status","iterations","relres"},...] — one row per Picard
-/// iteration's solve, in order (the telemetry "solves" field and the
-/// /status solver block).
-void json_solves(TelemetryRecord& w, const char* key,
-                 const std::vector<SolveRow>& rows);
 
 // ---- sink -------------------------------------------------------------
 

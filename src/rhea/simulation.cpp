@@ -358,27 +358,23 @@ void Simulation::run(int steps) {
     // travels as a gauge in the analysis blob. Both consumers' flags are
     // process-global, so every rank takes the same branch.
     const bool report = obs::telemetry_enabled() || obs::serve_active();
-    obs::analysis::StepRecord arec;
+    obs::StepReport rep;
     if (report) {
       set_step_gauges(obs::counter_value(comm_->rank(), vcycles_id) - vc0);
-      arec = obs::analysis::analyze_step(*comm_, steps_);
+      rep.analysis = obs::analysis::analyze_step(*comm_, steps_);
     }
 
     // Memory accounting + aggregation every step (decoupled from the
     // report gate: the drift detector must run even without telemetry).
     // analyze_memory is collective; mem_enabled() is process-global.
-    obs::analysis::MemRecord mrec;
-    std::string drift_json;
-    const bool mem_on = obs::mem_enabled();
-    if (mem_on) {
+    if (obs::mem_enabled()) {
       account_memory();
-      mrec = obs::analysis::analyze_memory(*comm_, steps_);
-      drift_json = update_mem_drift(mrec, adapted);
+      rep.memory = obs::analysis::analyze_memory(*comm_, steps_);
+      rep.drift_json = update_mem_drift(rep.memory, adapted);
     }
 
     if (report)
-      report_step(dt, adapted, stokes_solved, timers() - phases0, arec,
-                  mem_on ? &mrec : nullptr, drift_json);
+      report_step(rep, dt, adapted, stokes_solved, timers() - phases0);
     // The flight recorder's memory.json carries this step's memory record
     // and reason.txt the drift verdict; the drift block itself is in the
     // telemetry tail only when telemetry is on (no record is emitted
@@ -527,115 +523,75 @@ void Simulation::set_step_gauges(std::uint64_t step_vcycles) {
   obs::gauge_set(kStepVcycles, static_cast<double>(step_vcycles));
 }
 
-void Simulation::report_step(double dt, bool adapted, bool stokes_solved,
-                             const PhaseTimers& step_phases,
-                             const obs::analysis::StepRecord& arec,
-                             const obs::analysis::MemRecord* mem,
-                             const std::string& drift_json) {
+void Simulation::report_step(obs::StepReport& r, double dt, bool adapted,
+                             bool stokes_solved,
+                             const PhaseTimers& step_phases) {
   const bool telemetry = obs::telemetry_enabled();
-  PhysicsDiagnostics phys;
   if (telemetry) {
     if (quad_weights_.empty())
       quad_weights_ = fem::element_quad_weights(mesh_, forest_.connectivity());
-    phys = compute_physics_diagnostics(*comm_, mesh_, quad_weights_,
-                                       temperature_, solution_,
-                                       cfg_.energy.kappa);
+    const PhysicsDiagnostics phys = compute_physics_diagnostics(
+        *comm_, mesh_, quad_weights_, temperature_, solution_,
+        cfg_.energy.kappa);
+    r.nusselt = phys.nusselt;
+    r.v_rms = phys.v_rms;
+    r.t_min = phys.t_min;
+    r.t_max = phys.t_max;
+    r.t_mean = phys.t_mean;
   }
   if (comm_->rank() != 0) return;
 
-  const obs::analysis::GaugeStat elems = gauge(arec, kLocalElements);
-  const auto elements = static_cast<std::int64_t>(elems.sum);
-  const double imbalance =
+  const obs::analysis::GaugeStat elems = gauge(r.analysis, kLocalElements);
+  r.step = steps_;
+  r.time = time_;
+  r.dt = dt;
+  r.ranks = comm_->size();
+  r.elements = static_cast<std::int64_t>(elems.sum);
+  r.dofs = mesh_.n_global;
+  r.partition_imbalance =
       elems.sum > 0 ? elems.max * comm_->size() / elems.sum : 1.0;
-  // Solver fields describe this step's Stokes solve only.
-  const std::vector<obs::SolveRow> solves =
-      stokes_solved ? solve_rows(last_stokes_.solves)
-                    : std::vector<obs::SolveRow>{};
+  std::size_t levels = 1;
+  r.per_level.resize(kLevelElements.size());
+  for (std::size_t l = 0; l < kLevelElements.size(); ++l) {
+    r.per_level[l] =
+        static_cast<std::int64_t>(gauge(r.analysis, kLevelElements[l]).sum);
+    if (r.per_level[l] > 0) levels = l + 1;
+  }
+  r.per_level.resize(levels);
+  // Solver fields describe this step's Stokes solve only. Every rank runs
+  // the same V-cycles in lockstep: the per-solve count is the max over
+  // ranks, not the rank sum.
+  if (stokes_solved) {
+    r.solves = solve_rows(last_stokes_.solves);
+    r.picard_iterations = last_stokes_.iterations;
+    r.amg_vcycles =
+        static_cast<std::uint64_t>(gauge(r.analysis, kStepVcycles).max);
+  }
+  // Rank 0's per-phase seconds for this step: the AMR cycle stages (all
+  // ~0 on non-adapting steps), the extraction reuse statistics of the
+  // most recent EXTRACTMESH, and the solver phases so consumers can
+  // compute the AMR share of the step (Fig. 10).
+  r.timings = {.adapted = adapted,
+               .mark = step_phases.mark_elements,
+               .coarsen_refine = step_phases.coarsen_refine,
+               .balance = step_phases.balance,
+               .partition = step_phases.partition,
+               .extract = step_phases.extract_mesh,
+               .interpolate = step_phases.interpolate_fields,
+               .transfer = step_phases.transfer_fields,
+               .time_integration = step_phases.time_integration,
+               .stokes = step_phases.minres + step_phases.amg_setup +
+                         step_phases.amg_apply + step_phases.stokes_assemble,
+               .extract_reused = last_extract_.reused,
+               .extract_recomputed = last_extract_.recomputed,
+               .extract_fallback = last_extract_.fallback};
 
   if (telemetry) {
-    std::array<std::int64_t, kLevelElements.size()> hist{};
-    std::size_t levels = 1;
-    for (std::size_t l = 0; l < hist.size(); ++l) {
-      hist[l] = static_cast<std::int64_t>(gauge(arec, kLevelElements[l]).sum);
-      if (hist[l] > 0) levels = l + 1;
-    }
     obs::TelemetryRecord rec;
-    rec.field("step", steps_)
-        .field("time", time_)
-        .field("dt", dt)
-        .field("ranks", comm_->size())
-        .field("elements", elements)
-        .field("dofs", mesh_.n_global)
-        .field("partition_imbalance", imbalance)
-        .field("per_level",
-               std::span<const std::int64_t>(hist.data(), levels));
-    if (!solves.empty()) {
-      // Every rank runs the same V-cycles in lockstep: the per-solve
-      // count is the max over ranks, not the rank sum.
-      rec.field("picard_iterations", last_stokes_.iterations)
-          .field("amg_vcycles",
-                 static_cast<std::uint64_t>(gauge(arec, kStepVcycles).max));
-      obs::json_solves(rec, "solves", solves);
-    }
-    rec.field("nusselt", phys.nusselt)
-        .field("v_rms", phys.v_rms)
-        .field("t_min", phys.t_min)
-        .field("t_max", phys.t_max)
-        .field("t_mean", phys.t_mean);
-    // Rank 0's per-phase seconds for this step: the AMR cycle stages (all
-    // ~0 on non-adapting steps), the extraction reuse statistics of the
-    // most recent EXTRACTMESH, and the solver phases so consumers can
-    // compute the AMR share of the step (Fig. 10).
-    rec.obj_open("timings")
-        .field("adapted", adapted)
-        .field("mark", step_phases.mark_elements)
-        .field("coarsen_refine", step_phases.coarsen_refine)
-        .field("balance", step_phases.balance)
-        .field("partition", step_phases.partition)
-        .field("extract", step_phases.extract_mesh)
-        .field("interpolate", step_phases.interpolate_fields)
-        .field("transfer", step_phases.transfer_fields)
-        .field("time_integration", step_phases.time_integration)
-        .field("stokes", step_phases.minres + step_phases.amg_setup +
-                             step_phases.amg_apply +
-                             step_phases.stokes_assemble);
-    if (adapted)
-      rec.field("extract_reused", last_extract_.reused)
-          .field("extract_recomputed", last_extract_.recomputed)
-          .field("extract_fallback", last_extract_.fallback);
-    rec.obj_close()
-        .field_json("critical_path", obs::analysis::critical_path_json(arec))
-        .field_json("wait_states", obs::analysis::wait_states_json(arec))
-        .field_json("latency", obs::analysis::latency_json(arec));
-    if (mem != nullptr)
-      rec.field_json("memory", obs::analysis::memory_json(*mem, mesh_.n_global,
-                                                          drift_json));
+    obs::json_step_report(rec, r);
     obs::telemetry_emit(rec);
   }
-
-  if (obs::serve_active()) {
-    obs::MetricsSnapshot snap;
-    snap.step = steps_;
-    snap.sim_time = time_;
-    snap.dt = dt;
-    snap.dofs = mesh_.n_global;
-    snap.ranks = comm_->size();
-    snap.elements = elements;
-    snap.partition_imbalance = imbalance;
-    snap.cp_imbalance = arec.cp_imbalance;
-    snap.solves = solves;
-    if (!solves.empty()) snap.picard_iterations = last_stokes_.iterations;
-    snap.counters = arec.counters;
-    snap.hists = obs::analysis::merged_histograms();
-    for (const obs::analysis::PhaseWaits& w : arec.waits)
-      snap.wait_blocked_s += w.w.blocked_s();
-    if (mem != nullptr && mem->enabled) {
-      snap.mem_available = true;
-      snap.mem_accounted_total = mem->acc_total;
-      snap.mem_rss_max = mem->rss_available ? mem->rss_max : 0;
-    }
-    obs::metrics_publish(snap);
-  }
+  if (obs::serve_active()) obs::metrics_publish(r);
 }
 
 void Simulation::check_sentinels() {

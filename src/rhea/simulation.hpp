@@ -11,6 +11,7 @@
 
 #include "energy/energy.hpp"
 #include "obs/analysis.hpp"
+#include "obs/serve.hpp"
 #include "rhea/indicator.hpp"
 #include "rhea/viscosity.hpp"
 #include "stokes/picard.hpp"
@@ -183,16 +184,14 @@ class Simulation {
   /// Set this rank's gauges for the step's analysis exchange: element
   /// count, per-level element counts, and the step's V-cycle count.
   void set_step_gauges(std::uint64_t step_vcycles);
-  /// The one per-step report. Builds the telemetry record and the metrics
-  /// snapshot on rank 0 from one set of values, all derived from the
-  /// analysis record's gauges; the only collective is the physics
-  /// diagnostics' one allreduce (telemetry only). Solver fields cover this
-  /// step's solve only (`stokes_solved`).
-  void report_step(double dt, bool adapted, bool stokes_solved,
-                   const PhaseTimers& step_phases,
-                   const obs::analysis::StepRecord& arec,
-                   const obs::analysis::MemRecord* mem,
-                   const std::string& drift_json);
+  /// The one per-step report: completes `r` (already holding the step's
+  /// analysis and memory records) on rank 0 from the analysis record's
+  /// gauges, then emits it as telemetry and publishes it to the metrics
+  /// endpoint. The only collective is the physics diagnostics' one
+  /// allreduce (telemetry only). Solver fields cover this step's solve
+  /// only (`stokes_solved`).
+  void report_step(obs::StepReport& r, double dt, bool adapted,
+                   bool stokes_solved, const PhaseTimers& step_phases);
   void check_sentinels();
 
   /// Pull-model byte accounting: push every subsystem's current

@@ -30,7 +30,6 @@ class AnalysisTest : public ::testing::Test {
 
 }  // namespace
 
-#ifndef ALPS_OBS_DISABLE  // phase spans and waits are compiled out
 
 namespace {
 
@@ -234,7 +233,6 @@ TEST_F(AnalysisTest, AnalyzeStepRecordsNoWaitsWhenAnalysisIsDisabled) {
   EXPECT_TRUE(found);
   EXPECT_GT(rec.cp_length_s, 0.0);
 }
-#endif  // ALPS_OBS_DISABLE
 
 TEST_F(AnalysisTest, FlowEventsPairAcrossRanksWithMatchingIds) {
   obs::set_enabled(true);

@@ -23,6 +23,7 @@
 #include "obs/telemetry.hpp"
 #include "par/runtime.hpp"
 #include "rhea/simulation.hpp"
+#include "transport.hpp"
 
 namespace {
 
@@ -54,7 +55,6 @@ using MemDriftTest = MemRegistryTest;
 
 // ---- per-rank scope table ---------------------------------------------
 
-#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemRegistryTest, ScopeLeftOutOfNextReportReadsZero) {
   obs::set_mem_enabled(true);
   par::run(1, [&](par::Comm& c) {
@@ -91,7 +91,6 @@ TEST_F(MemRegistryTest, ReportIsNoOpOnUnboundThread) {
   EXPECT_EQ(m.acc_by_rank[0], 11u);
   EXPECT_EQ(m.acc_hwm_max, 11u);
 }
-#endif  // ALPS_OBS_DISABLE
 
 TEST_F(MemRegistryTest, VecBytesTracksCapacity) {
   std::vector<double> v;
@@ -101,7 +100,6 @@ TEST_F(MemRegistryTest, VecBytesTracksCapacity) {
   EXPECT_GE(obs::vec_bytes(v), 100u * sizeof(double));
 }
 
-#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemRegistryTest, RankSlotsMergeAcrossFourRanks) {
   obs::set_mem_enabled(true);
   par::run(4, [&](par::Comm& c) {
@@ -132,7 +130,6 @@ TEST_F(MemRegistryTest, SlotsResetAtWorldBegin) {
     EXPECT_EQ(obs::mem_hwm(), 0u);
   });
 }
-#endif  // ALPS_OBS_DISABLE
 
 TEST_F(MemRegistryTest, DisabledRegistryIgnoresWrites) {
   obs::set_mem_enabled(false);
@@ -147,7 +144,6 @@ TEST_F(MemRegistryTest, DisabledRegistryIgnoresWrites) {
 
 // ---- high-water marks --------------------------------------------------
 
-#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemHwmTest, HwmIsRunningMaxOfReportedTotals) {
   obs::set_mem_enabled(true);
   par::run(1, [&](par::Comm& c) {
@@ -163,7 +159,6 @@ TEST_F(MemHwmTest, HwmIsRunningMaxOfReportedTotals) {
   EXPECT_EQ(m.acc_by_rank[0], 100u);
   EXPECT_EQ(m.acc_hwm_max, 1u << 20);
 }
-#endif  // ALPS_OBS_DISABLE
 
 // ---- RSS sampling ------------------------------------------------------
 
@@ -184,7 +179,6 @@ TEST_F(MemRssTest, LinuxSampleIsOrderedWhenAvailable) {
 
 // ---- cross-rank aggregation --------------------------------------------
 
-#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemAnalysisTest, AnalyzeMemoryGathersRankStats) {
   obs::set_mem_enabled(true);
   obs::analysis::MemRecord rec;
@@ -227,7 +221,6 @@ TEST_F(MemAnalysisTest, AnalyzeMemoryGathersRankStats) {
   EXPECT_EQ(rec.subsystems[1].scope, "beta");
   EXPECT_EQ(rec.subsystems[1].total, 200u);
 }
-#endif  // ALPS_OBS_DISABLE
 
 TEST_F(MemAnalysisTest, DisabledAnalyzeReturnsInertRecord) {
   obs::set_mem_enabled(false);
@@ -237,7 +230,6 @@ TEST_F(MemAnalysisTest, DisabledAnalyzeReturnsInertRecord) {
   });
 }
 
-#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemAnalysisTest, SnapshotAfterWorldWithoutRecordIsUnavailable) {
   // What bench::Reporter::snapshot_obs writes for a run's memory block.
   const auto snapshot = [] {
@@ -281,11 +273,9 @@ TEST_F(MemAnalysisTest, MemoryJsonEmitsBlockAndCleanRssFallback) {
   EXPECT_NE(rss_obj.find("\"available\":false"), std::string::npos);
   EXPECT_EQ(rss_obj.find("bytes"), std::string::npos);
 }
-#endif  // ALPS_OBS_DISABLE
 
 // ---- drift detector ----------------------------------------------------
 
-#ifndef ALPS_OBS_DISABLE  // the accounting registry is compiled out
 TEST_F(MemDriftTest, InjectTripsPanicAndNamesLeakingRank) {
   const std::string dump_dir = temp_path("alps_mem_drift_dump");
   std::filesystem::remove_all(dump_dir);
@@ -294,25 +284,14 @@ TEST_F(MemDriftTest, InjectTripsPanicAndNamesLeakingRank) {
 
   auto run = [] {
     par::run(2, [](par::Comm& c) {
-      rhea::SimConfig cfg;
-      cfg.init_level = 2;
-      cfg.min_level = 1;
-      cfg.max_level = 3;
-      cfg.initial_adapt_rounds = 0;
-      cfg.adapt_every = 0;  // non-adapting: the window never resets
-      cfg.energy.kappa = 1e-6;
-      cfg.energy.dirichlet_faces = 0b111111;
-      cfg.prescribed_velocity = [](const std::array<double, 3>&, double) {
-        return std::array<double, 3>{1.0, 0.0, 0.0};
-      };
+      rhea::SimConfig cfg = test_util::transport_config();
+      // Non-adapting: the window never resets.
       cfg.mem_drift_window = 3;
       cfg.mem_drift_panic_bytes_per_step = 1e6;
       cfg.mem_drift_inject_rank = 1;  // rank 1 "leaks" 2 MB per step
       cfg.mem_drift_inject_bytes = 2'000'000;
       rhea::Simulation sim(c, cfg);
-      sim.initialize([](const std::array<double, 3>& p) {
-        return p[0] * (1.0 - p[0]);
-      });
+      sim.initialize(test_util::parabola);
       sim.run(8);  // must die once the window fills at step 3
     });
   };
@@ -334,7 +313,6 @@ TEST_F(MemDriftTest, InjectTripsPanicAndNamesLeakingRank) {
       << ms.str();
   std::filesystem::remove_all(dump_dir);
 }
-#endif  // ALPS_OBS_DISABLE
 
 TEST_F(MemDriftTest, SteadyFootprintDoesNotTrip) {
   const std::string dump_dir = temp_path("alps_mem_steady_dump");
@@ -343,23 +321,11 @@ TEST_F(MemDriftTest, SteadyFootprintDoesNotTrip) {
   obs::set_mem_enabled(true);
 
   par::run(2, [](par::Comm& c) {
-    rhea::SimConfig cfg;
-    cfg.init_level = 2;
-    cfg.min_level = 1;
-    cfg.max_level = 3;
-    cfg.initial_adapt_rounds = 0;
-    cfg.adapt_every = 0;
-    cfg.energy.kappa = 1e-6;
-    cfg.energy.dirichlet_faces = 0b111111;
-    cfg.prescribed_velocity = [](const std::array<double, 3>&, double) {
-      return std::array<double, 3>{1.0, 0.0, 0.0};
-    };
+    rhea::SimConfig cfg = test_util::transport_config();
     cfg.mem_drift_window = 3;
     cfg.mem_drift_panic_bytes_per_step = 1e6;  // same threshold, no inject
     rhea::Simulation sim(c, cfg);
-    sim.initialize([](const std::array<double, 3>& p) {
-      return p[0] * (1.0 - p[0]);
-    });
+    sim.initialize(test_util::parabola);
     sim.run(6);  // a steady footprint must survive the whole run
   });
   unsetenv("ALPS_DUMP_DIR");

@@ -27,7 +27,6 @@ class ObsTest : public ::testing::Test {
 
 }  // namespace
 
-#ifndef ALPS_OBS_DISABLE  // spans and phase sums are compiled out
 
 namespace {
 
@@ -96,7 +95,6 @@ TEST_F(ObsTest, CommSpansOnlyRecordedWithCommTracing) {
   EXPECT_NE(find_event(obs::events(0), "par.barrier"), nullptr);
   EXPECT_NE(find_event(obs::events(1), "par.barrier"), nullptr);
 }
-#endif  // ALPS_OBS_DISABLE
 
 TEST_F(ObsTest, CounterRegistryMergesAcrossRanks) {
   const obs::CounterId id = obs::counter("test.counter");
@@ -147,7 +145,6 @@ TEST_F(ObsTest, AggregatorCountsAbsentRanksAsZero) {
   EXPECT_DOUBLE_EQ(b->imbalance, 2.0);
 }
 
-#ifndef ALPS_OBS_DISABLE  // spans and phase sums are compiled out
 TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
   obs::set_enabled(true);
   par::run(2, [](par::Comm&) {
@@ -200,7 +197,6 @@ TEST_F(ObsTest, WorldBeginResetsSlots) {
   EXPECT_EQ(obs::world_size(), 1);
   EXPECT_TRUE(obs::events(0).empty());
 }
-#endif  // ALPS_OBS_DISABLE
 
 TEST_F(ObsTest, UnboundThreadsRecordNothing) {
   obs::set_enabled(true);

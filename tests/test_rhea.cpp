@@ -92,7 +92,6 @@ TEST_P(RheaRanks, RefinementFollowsTheMovingFront) {
   });
 }
 
-#ifndef ALPS_OBS_DISABLE  // PhaseTimers' spans are compiled out
 TEST_P(RheaRanks, TimersArePopulated) {
   alps::par::run(GetParam(), [](Comm& c) {
     Simulation sim(c, advection_config());
@@ -106,7 +105,6 @@ TEST_P(RheaRanks, TimersArePopulated) {
     EXPECT_GE(t.amr_total(), t.balance);
   });
 }
-#endif  // ALPS_OBS_DISABLE
 
 TEST_P(RheaRanks, AdaptationStatsAreConsistent) {
   alps::par::run(GetParam(), [](Comm& c) {
@@ -160,9 +158,7 @@ TEST_P(RheaRanks, SmallMantleConvectionRunsStably) {
     double tmax = 0;
     for (double v : sim.temperature()) tmax = std::max(tmax, std::abs(v));
     EXPECT_LT(c.allreduce_max(tmax), 2.0);
-#ifndef ALPS_OBS_DISABLE  // PhaseTimers' spans are compiled out
     EXPECT_GT(sim.timers().minres + sim.timers().amg_apply, 0.0);
-#endif
   });
 }
 

@@ -1,10 +1,10 @@
 // obs::Histogram + obs::serve: log-bucket boundary exactness, the <= 4%
 // quantile error bound against sorted references (random and adversarial
 // inputs), exact cross-rank merge associativity through the analyze_step
-// piggyback at P in {1, 2, 4}, the Prometheus / status renderers, and a
+// piggyback at P in {1, 2, 4}, the Prometheus / status renderers of one
+// obs::StepReport, /status equal to the step's telemetry record, and a
 // live HTTP smoke test of all four endpoints (the test TSan points at:
-// concurrent publisher + server + client). Every test also compiles (and
-// the guards assert the no-op behavior) under -DALPS_OBS_DISABLE.
+// concurrent publisher + server + client).
 
 #include <gtest/gtest.h>
 
@@ -21,16 +21,17 @@
 #include "obs/serve.hpp"
 #include "par/runtime.hpp"
 #include "rhea/simulation.hpp"
+#include "transport.hpp"
 
-#ifndef ALPS_OBS_DISABLE
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 using namespace alps;
 using obs::Histogram;
+using test_util::parabola;
+using test_util::transport_config;
 
 namespace {
 
@@ -237,8 +238,6 @@ TEST_F(ServeTest, CrossRankMergeThroughAnalyzeStepMatchesDirectRecording) {
     const obs::analysis::PhaseLatency* found = nullptr;
     for (const auto& l : rec.latency)
       if (l.phase == "test.serve.merge") found = &l;
-    // hist_record is a plain call, so this holds with observability
-    // compiled out too.
     ASSERT_NE(found, nullptr) << "P=" << nranks;
     EXPECT_EQ(found->hist.count(), direct.count()) << "P=" << nranks;
     EXPECT_NEAR(found->hist.sum(), direct.sum(), 1e-9 * direct.sum());
@@ -253,37 +252,56 @@ TEST_F(ServeTest, CrossRankMergeThroughAnalyzeStepMatchesDirectRecording) {
 
 namespace {
 
-obs::MetricsSnapshot sample_snapshot() {
-  obs::MetricsSnapshot snap;
-  snap.step = 7;
-  snap.sim_time = 0.125;
-  snap.dt = 0.015;
-  snap.dofs = 40000;
-  snap.elements = 9000;
-  snap.ranks = 4;
-  snap.partition_imbalance = 1.08;
-  snap.cp_imbalance = 1.3;
-  snap.solves = {{"max_iterations", 60, 2e-4}, {"converged", 42, 3e-6}};
-  snap.picard_iterations = 2;
-  snap.counters.emplace_back("amg.vcycles", 12u);
-  Histogram h;
-  h.record(1e-3);
-  h.record(2e-3);
-  h.record(8e-3);
-  snap.hists.emplace_back("fem.apply", h);
-  snap.wait_blocked_s = 0.02;
-  return snap;
+obs::StepReport sample_report() {
+  obs::StepReport r;
+  r.step = 7;
+  r.time = 0.125;
+  r.dt = 0.015;
+  r.dofs = 40000;
+  r.elements = 9000;
+  r.ranks = 4;
+  r.partition_imbalance = 1.08;
+  r.analysis.cp_imbalance = 1.3;
+  r.solves = {{"max_iterations", 60, 2e-4}, {"converged", 42, 3e-6}};
+  r.picard_iterations = 2;
+  r.analysis.counters.emplace_back("amg.vcycles", 12u);
+  r.analysis.waits.resize(1);
+  r.analysis.waits[0].w.collective_s = 0.02;
+  r.memory.enabled = true;
+  r.memory.acc_total = 4096;
+  r.memory.rss_available = true;
+  r.memory.rss_max = 1 << 20;
+  return r;
 }
 
 }  // namespace
 
 TEST_F(ServeTest, PrometheusTextExposesGaugesCountersAndHistogram) {
-  const std::string text = obs::prometheus_text(sample_snapshot());
-#ifndef ALPS_OBS_DISABLE
+  Histogram h;
+  for (const double v : {1e-3, 2e-3, 8e-3}) h.record(v);
+  const std::string text =
+      obs::prometheus_text(sample_report(), true, {{"fem.apply", h}});
+  // Every gauge the endpoint exposes, each with its HELP and TYPE lines.
+  for (const std::string g :
+       {"alps_up", "alps_step", "alps_sim_time", "alps_dt", "alps_dofs",
+        "alps_elements", "alps_ranks", "alps_partition_imbalance",
+        "alps_cp_imbalance", "alps_healthy", "alps_wait_blocked_seconds",
+        "alps_solver_iterations", "alps_solver_relative_residual",
+        "alps_picard_iterations", "alps_mem_accounted_bytes",
+        "alps_mem_rss_max_bytes"}) {
+    EXPECT_NE(text.find("# HELP " + g + ' '), std::string::npos) << g;
+    EXPECT_NE(text.find("# TYPE " + g + " gauge\n"), std::string::npos) << g;
+  }
   EXPECT_NE(text.find("alps_up 1"), std::string::npos);
   EXPECT_NE(text.find("alps_step 7"), std::string::npos);
   EXPECT_NE(text.find("alps_dofs 40000"), std::string::npos);
   EXPECT_NE(text.find("alps_healthy 1"), std::string::npos);
+  EXPECT_NE(text.find("alps_cp_imbalance 1.3"), std::string::npos);
+  EXPECT_NE(text.find("alps_wait_blocked_seconds 0.02"), std::string::npos);
+  EXPECT_NE(text.find("alps_solver_iterations 42"), std::string::npos);
+  EXPECT_NE(text.find("alps_picard_iterations 2"), std::string::npos);
+  EXPECT_NE(text.find("alps_mem_accounted_bytes 4096"), std::string::npos);
+  EXPECT_NE(text.find("alps_mem_rss_max_bytes 1048576"), std::string::npos);
   EXPECT_NE(text.find("# TYPE alps_amg_vcycles_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("alps_amg_vcycles_total 12"), std::string::npos);
@@ -308,15 +326,11 @@ TEST_F(ServeTest, PrometheusTextExposesGaugesCountersAndHistogram) {
     prev = n;
     pos = sp;
   }
-#else
-  EXPECT_TRUE(text.empty());
-#endif
 }
 
 TEST_F(ServeTest, StatusJsonCarriesSolverEtaAndHealth) {
-  obs::MetricsSnapshot snap = sample_snapshot();
-  std::string j = obs::status_json(snap, 12.5, 0.8, 100);
-#ifndef ALPS_OBS_DISABLE
+  obs::StepReport r = sample_report();
+  std::string j = obs::status_text(r, true, "", 100, 0.8, 12.5);
   EXPECT_NE(j.find("\"step\":7"), std::string::npos);
   EXPECT_NE(j.find("\"healthy\":true"), std::string::npos);
   EXPECT_NE(j.find("\"status\":\"converged\""), std::string::npos);
@@ -330,20 +344,18 @@ TEST_F(ServeTest, StatusJsonCarriesSolverEtaAndHealth) {
   EXPECT_NE(j.find("\"target_steps\":100"), std::string::npos);
   EXPECT_NE(j.find("\"eta_s\":12.5"), std::string::npos);
   EXPECT_NE(j.find("\"step_rate_per_s\":0.8"), std::string::npos);
-  // Unknown rate/ETA and a never-ran solver render as nulls, not garbage.
-  snap.solves.clear();
-  j = obs::status_json(snap, -1, 0, -1);
-  EXPECT_NE(j.find("\"status\":null"), std::string::npos);
+  // Unknown rate/ETA, a never-ran solver and physics that were not
+  // computed render as nulls or absent fields, not garbage.
+  r.solves.clear();
+  j = obs::status_text(r, true, "", -1, 0, -1);
+  EXPECT_EQ(j.find("\"solves\""), std::string::npos);
+  EXPECT_NE(j.find("\"nusselt\":null"), std::string::npos);
   EXPECT_NE(j.find("\"eta_s\":null"), std::string::npos);
   EXPECT_NE(j.find("\"target_steps\":null"), std::string::npos);
-#else
-  EXPECT_TRUE(j.empty());
-#endif
 }
 
 // ---- live endpoint -----------------------------------------------------
 
-#ifndef ALPS_OBS_DISABLE
 namespace {
 
 /// Minimal blocking HTTP GET against 127.0.0.1:port; returns the full
@@ -395,7 +407,12 @@ TEST_F(ServeTest, LiveServerServesAllFourEndpoints) {
             std::string::npos);
   EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
 
-  obs::metrics_publish(sample_snapshot());
+  // The histogram series are the run-cumulative merge of analyze_step.
+  par::run(1, [](par::Comm& c) {
+    for (const double v : {1e-3, 2e-3, 8e-3}) obs::hist_record("fem.apply", v);
+    (void)obs::analysis::analyze_step(c, 1);
+  });
+  obs::metrics_publish(sample_report());
   const std::string metrics = http_get(port, "/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("alps_step 7"), std::string::npos);
@@ -411,7 +428,7 @@ TEST_F(ServeTest, LiveServerServesAllFourEndpoints) {
   // Concurrent scrape vs publish: what TSan watches. The publisher spins
   // on the retired slot's reader count, the reader pins before reading.
   for (int i = 0; i < 50; ++i) {
-    obs::MetricsSnapshot snap = sample_snapshot();
+    obs::StepReport snap = sample_report();
     snap.step = 100 + i;
     obs::metrics_publish(snap);
     const std::string m = http_get(port, "/metrics");
@@ -428,7 +445,7 @@ TEST_F(ServeTest, HealthzFlipsTo503OnStagnationAndStickyMark) {
   ASSERT_GT(port, 0);
   obs::metrics_set_stagnation_limit(3);
 
-  obs::MetricsSnapshot snap = sample_snapshot();
+  obs::StepReport snap = sample_report();
   snap.solves.back().status = "stagnated";
   for (int i = 0; i < 2; ++i) obs::metrics_publish(snap);
   EXPECT_NE(http_get(port, "/healthz").find("200 OK"), std::string::npos);
@@ -459,7 +476,7 @@ TEST_F(ServeTest, HealthzCountsEveryUnconvergedStatus) {
   const int port = obs::serve_start(0);
   ASSERT_GT(port, 0);
   obs::metrics_set_stagnation_limit(3);
-  obs::MetricsSnapshot snap = sample_snapshot();
+  obs::StepReport snap = sample_report();
   for (const char* status : {la::to_string(la::SolveStatus::kNonFinite),
                              la::to_string(la::SolveStatus::kMaxIterations)}) {
     SCOPED_TRACE(status);
@@ -490,20 +507,8 @@ TEST_F(ServeTest, StatusPublishesStepsWhenWaitAnalysisIsOff) {
   ASSERT_GT(port, 0);
   obs::set_analysis_enabled(false);
   par::run(2, [](par::Comm& c) {
-    rhea::SimConfig cfg;
-    cfg.init_level = 2;
-    cfg.min_level = 1;
-    cfg.max_level = 3;
-    cfg.initial_adapt_rounds = 0;
-    cfg.adapt_every = 0;
-    cfg.energy.kappa = 1e-6;
-    cfg.energy.dirichlet_faces = 0b111111;
-    cfg.prescribed_velocity = [](const std::array<double, 3>&, double) {
-      return std::array<double, 3>{1.0, 0.0, 0.0};
-    };
-    rhea::Simulation sim(c, cfg);
-    sim.initialize(
-        [](const std::array<double, 3>& p) { return p[0] * (1.0 - p[0]); });
+    rhea::Simulation sim(c, transport_config());
+    sim.initialize(parabola);
     sim.run(2);
   });
   const std::string status = http_get(port, "/status");
@@ -511,25 +516,33 @@ TEST_F(ServeTest, StatusPublishesStepsWhenWaitAnalysisIsOff) {
   EXPECT_NE(status.find("\"step\":2"), std::string::npos) << status;
   EXPECT_NE(status.find("\"elements\":64"), std::string::npos) << status;
 }
-#endif  // ALPS_OBS_DISABLE
 
-// ---- compiled-out guard ------------------------------------------------
-
-TEST_F(ServeTest, DisabledBuildCompilesMacrosAndStubsToNoOps) {
-  // Must compile in BOTH modes; the assertions flip with the macro.
-  { OBS_HIST_SPAN("test.serve.macro"); }
-#ifdef ALPS_OBS_DISABLE
-  EXPECT_EQ(obs::serve_start(0), -1);
-  EXPECT_EQ(obs::serve_maybe_start(), -1);
-  EXPECT_FALSE(obs::serve_active());
-  EXPECT_EQ(obs::serve_port(), -1);
-  obs::MetricsSnapshot snap;
-  obs::metrics_publish(snap);  // all no-ops, nothing to observe
-  obs::metrics_mark_unhealthy("x");
-  obs::metrics_linger_if_unhealthy();
-  EXPECT_TRUE(obs::prometheus_text(snap).empty());
-  EXPECT_TRUE(obs::status_json(snap, 0, 0, 0).empty());
-#else
-  SUCCEED();  // the live tests above cover the enabled half
-#endif
+TEST_F(ServeTest, StatusIsTheTelemetryRecordPlusServingMembers) {
+  // With telemetry and the endpoint both on, /status is the step's
+  // telemetry line with the serving members appended before the brace.
+  const int port = obs::serve_start(0);
+  ASSERT_GT(port, 0);
+  obs::set_telemetry_path(::testing::TempDir() + "serve_status.jsonl");
+  obs::set_telemetry(true);
+  constexpr int kSteps = 3;
+  obs::metrics_set_target_steps(kSteps);
+  par::run(2, [](par::Comm& c) {
+    rhea::Simulation sim(c, transport_config());
+    sim.initialize(parabola);
+    sim.run(kSteps);
+  });
+  obs::set_telemetry(false);
+  obs::set_telemetry_path("");
+  const std::string line = obs::telemetry_tail().back();
+  const std::string resp = http_get(port, "/status");
+  const std::string status = resp.substr(resp.find("\r\n\r\n") + 4);
+  EXPECT_NE(line.find("\"step\":3,"), std::string::npos) << line;
+  const std::string members = line.substr(0, line.size() - 1);
+  EXPECT_EQ(status.rfind(members + ",\"healthy\":true,\"health_reason\":\"\","
+                         "\"target_steps\":3,\"step_rate_per_s\":",
+                         0),
+            0u)
+      << "telemetry: " << line << "\n/status: " << status;
+  EXPECT_NE(status.find(",\"eta_s\":"), std::string::npos) << status;
+  EXPECT_NE(status.find(",\"telemetry_records\":"), std::string::npos);
 }

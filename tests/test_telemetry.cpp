@@ -25,10 +25,12 @@
 #include "obs/dump.hpp"
 #include "obs/mem.hpp"
 #include "obs/obs.hpp"
+#include "obs/serve.hpp"
 #include "obs/telemetry.hpp"
 #include "par/runtime.hpp"
 #include "rhea/diagnostics.hpp"
 #include "rhea/simulation.hpp"
+#include "transport.hpp"
 
 namespace {
 
@@ -267,22 +269,8 @@ TEST_F(TelemetryTest, StatusTokensAreStable) {
 namespace {
 
 /// A small P-rank transport run (prescribed velocity, no adaptation).
-rhea::SimConfig transport_config() {
-  rhea::SimConfig cfg;
-  cfg.init_level = 2;
-  cfg.min_level = 1;
-  cfg.max_level = 3;
-  cfg.initial_adapt_rounds = 0;
-  cfg.adapt_every = 0;
-  cfg.energy.kappa = 1e-6;
-  cfg.energy.dirichlet_faces = 0b111111;
-  cfg.prescribed_velocity = [](const std::array<double, 3>&, double) {
-    return std::array<double, 3>{1.0, 0.0, 0.0};
-  };
-  return cfg;
-}
-
-double parabola(const std::array<double, 3>& p) { return p[0] * (1.0 - p[0]); }
+using test_util::parabola;
+using test_util::transport_config;
 
 /// World-total CommStats spent by `fn` on every rank, fenced by barriers
 /// so both snapshots see every rank's calls (barriers are not counted as
@@ -378,18 +366,20 @@ TEST_F(TelemetryTest, SentinelTripWritesFlightRecorderBundle) {
   std::filesystem::remove_all(dump_dir);
 }
 
-
 // ---- per-step report ----------------------------------------------------
 
 TEST_F(TelemetryTest, StepReportAddsNoCollectivesBeyondPhysicsDiagnostics) {
-  // One non-adapting step at P=2, telemetry off and then on. Everything
-  // the record reports across ranks travels in the analysis exchange (a
-  // size allgather plus one allgatherv), so telemetry adds exactly those
-  // two allgathers and the physics diagnostics' one allreduce.
+  // One non-adapting step at P=2: telemetry and the metrics endpoint off,
+  // then telemetry on, then the endpoint alone. Everything the report
+  // carries across ranks travels in the analysis exchange (a size
+  // allgather plus one allgatherv), so telemetry adds exactly those two
+  // allgathers and the physics diagnostics' one allreduce, and serving
+  // adds the two allgathers only.
   obs::set_telemetry_path(temp_path("telemetry_collectives.jsonl"));
   constexpr int kRanks = 2;
-  auto step_cost = [](bool telemetry, par::CommStats* diag) {
+  auto step_cost = [](bool telemetry, bool serve, par::CommStats* diag) {
     obs::set_telemetry(telemetry);
+    if (serve) obs::serve_start(0);
     par::CommStats cost;
     par::run(kRanks, [&](par::Comm& c) {
       const rhea::SimConfig cfg = transport_config();
@@ -406,13 +396,17 @@ TEST_F(TelemetryTest, StepReportAddsNoCollectivesBeyondPhysicsDiagnostics) {
         if (diag != nullptr) *diag = dd;
       }
     });
+    obs::serve_stop();
+    obs::metrics_reset_for_testing();
     return cost;
   };
   par::CommStats diag;
   const std::uint64_t records0 = obs::telemetry_records();
-  const par::CommStats off = step_cost(false, nullptr);
-  const par::CommStats on = step_cost(true, &diag);
+  const par::CommStats off = step_cost(false, false, nullptr);
+  const par::CommStats on = step_cost(true, false, &diag);
   ASSERT_EQ(obs::telemetry_records(), records0 + 1);
+  const par::CommStats served = step_cost(false, true, nullptr);
+  EXPECT_EQ(obs::telemetry_records(), records0 + 1);
   // Per rank: stats count every participating rank once. The diagnostics
   // themselves make exactly one allreduce.
   EXPECT_EQ(diag.allreduce_calls / kRanks, 1u);
@@ -420,6 +414,8 @@ TEST_F(TelemetryTest, StepReportAddsNoCollectivesBeyondPhysicsDiagnostics) {
             diag.allreduce_calls / kRanks);
   EXPECT_EQ((on.allgather_calls - off.allgather_calls) / kRanks,
             2 + diag.allgather_calls / kRanks);
+  EXPECT_EQ(served.allreduce_calls, off.allreduce_calls);
+  EXPECT_EQ((served.allgather_calls - off.allgather_calls) / kRanks, 2u);
 }
 
 TEST_F(TelemetryTest, DiagnosticsFollowEveryMeshChange) {
@@ -527,7 +523,6 @@ TEST_F(TelemetryTest, SolverFieldsCoverOnlyThisStepsSolve) {
   });
 }
 
-#ifndef ALPS_OBS_DISABLE  // span recording is compiled out
 TEST_F(TelemetryTest, TraceExportReportsDroppedEventsPerRank) {
   const std::size_t old_cap = obs::set_ring_capacity(4);
   obs::set_enabled(true);
@@ -542,4 +537,3 @@ TEST_F(TelemetryTest, TraceExportReportsDroppedEventsPerRank) {
   // Both ranks overflowed: the array holds two non-zero counts.
   EXPECT_EQ(json.find("\"alpsDropped\": [0, 0]"), std::string::npos);
 }
-#endif  // ALPS_OBS_DISABLE
